@@ -49,11 +49,11 @@ let build (f : Cfg.func) =
   for id = 0 to Reaching.universe rd - 1 do
     ignore (du_of (Reaching.def_key (Reaching.def_of_id rd id)))
   done;
-  let nregs = Cfg.num_regs f in
+  (* current reaching defs per register, replayed through each block *)
+  let cur : Reaching.def_site list array = Array.make (Cfg.num_regs f) [] in
   Cfg.iter_blocks
     (fun b ->
-      (* current reaching defs per register, replayed through the block *)
-      let cur : Reaching.def_site list array = Array.make nregs [] in
+      Array.fill cur 0 (Array.length cur) [];
       Bitset.iter
         (fun id ->
           let site = Reaching.def_of_id rd id in

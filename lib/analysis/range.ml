@@ -18,7 +18,29 @@
       by narrowing passes to recover bounds such as [i < n].
 
     Only [I32] registers are tracked. Queries replay the containing block
-    from its entry state, so per-instruction results cost no memory. *)
+    from its entry state, so per-instruction results cost no memory. The
+    replay runs in a buffer owned by the result, so a query allocates no
+    state either.
+
+    {b The fixpoint works in place.} Each block's entry and exit states
+    are allocated once, when {!compute} starts, and are updated in place
+    from then on. A visit joins the edge-refined exits of the block's
+    predecessors into one scratch buffer. Branch refinement touches only
+    the two compared registers, so no state is copied per edge. Merging
+    and widening then write into the entry state directly. The exit state
+    of a block is recomputed only after its entry has changed.
+
+    {b Dirty blocks.} Both phases skip a block when no predecessor's exit
+    has changed since the block's last visit. The skip is exact. A visit
+    leaves the entry containing the join it just computed: the first
+    visit stores it, a merge or a widening only grows it, and otherwise
+    the join was already contained. A block's entry changes only during
+    its own visits. So a visit whose predecessor exits are unchanged
+    recomputes the same join, finds it contained, and changes nothing:
+    skipping it leaves the visit counters, the widening decisions and the
+    final states exactly as a full round-robin sweep would. In the
+    narrowing phase a visit stores its join outright, so the same
+    argument applies. *)
 
 open Sxe_ir
 open Types
@@ -112,10 +134,8 @@ let unop_interval op ((lo, hi) : interval) : interval =
 
 (* The mutable per-block state is stored as a flat native-int array
    ([lo] at [2r], [hi] at [2r+1]): every bound is within the int32 range,
-   which fits OCaml's immediate ints, so states copy with [Array.blit]
-   and allocate nothing per element — the ascending/narrowing phases copy
-   states on every edge and this representation is what keeps the
-   analysis' share of compile time JIT-plausible (Table 3). *)
+   which fits OCaml's immediate ints, so states copy with [Array.blit],
+   join with integer compares and allocate nothing per element. *)
 type state = int array
 
 let sget (st : state) r : interval = (Int64.of_int st.(2 * r), Int64.of_int st.((2 * r) + 1))
@@ -124,12 +144,15 @@ let sset (st : state) r ((lo, hi) : interval) =
   st.(2 * r) <- Int64.to_int lo;
   st.((2 * r) + 1) <- Int64.to_int hi
 
-let state_make nregs : state =
-  let st = Array.make (2 * nregs) 0 in
-  for r = 0 to nregs - 1 do
+let set_top (st : state) =
+  for r = 0 to (Array.length st / 2) - 1 do
     st.(2 * r) <- Int64.to_int i32_min;
     st.((2 * r) + 1) <- Int64.to_int i32_max
-  done;
+  done
+
+let state_make nregs : state =
+  let st = Array.make (2 * nregs) 0 in
+  set_top st;
   st
 
 (** Largest possible valid index: length <= 0x7fffffff, index < length. *)
@@ -208,23 +231,51 @@ let refine1 ((xlo, xhi) : interval) cond ((ylo, yhi) : interval) : interval =
   | Gt -> if ylo < i32_max then meet (xlo, xhi) (add ylo 1L, i32_max) else (xlo, xhi)
   | Ge -> meet (xlo, xhi) (ylo, i32_max)
 
-(** [refine_for_edge ~tracked st term succ] is a copy of [st] improved with
-    the facts the branch guarantees on the edge to [succ]. *)
-let refine_for_edge ~(tracked : bool array) (st : state) term succ =
-  match term with
-  | Instr.Br { cond; l; r; w = W32; ifso; ifnot } when tracked.(l) && tracked.(r) ->
-      let st' = Array.copy st in
-      let apply c =
-        sset st' l (refine1 (sget st' l) c (sget st r));
-        sset st' r (refine1 (sget st' r) (Types.swap_cond c) (sget st l))
-      in
-      (* A taken-and-fallthrough pair to the same block teaches nothing. *)
-      if ifso = ifnot then st'
-      else begin
-        if succ = ifso then apply cond else apply (Types.negate_cond cond);
-        st'
-      end
-  | _ -> st
+(** Pointwise join of [src] into [acc]. *)
+let join_into (acc : state) (src : state) =
+  for k = 0 to (Array.length src / 2) - 1 do
+    if src.(2 * k) < acc.(2 * k) then acc.(2 * k) <- src.(2 * k);
+    if src.((2 * k) + 1) > acc.((2 * k) + 1) then acc.((2 * k) + 1) <- src.((2 * k) + 1)
+  done
+
+(** [join_edge ~tracked ~first acc out term succ] joins into [acc] the
+    exit state [out] of a block ending in [term], improved with the facts
+    the branch guarantees on the edge to [succ]; [~first:true] overwrites
+    [acc] instead. Only the two compared registers differ from [out], so
+    the refined state is never materialised: their refined intervals are
+    computed from [out], and [acc] is patched at those two registers. *)
+let join_edge ~(tracked : bool array) ~first (acc : state) (out : state) term succ =
+  let refined =
+    match term with
+    (* A taken-and-fallthrough pair to the same block teaches nothing. *)
+    | Instr.Br { cond; l; r; w = W32; ifso; ifnot }
+      when tracked.(l) && tracked.(r) && ifso <> ifnot ->
+        let c = if succ = ifso then cond else Types.negate_cond cond in
+        let il = sget out l and ir = sget out r in
+        let l' = refine1 il c ir in
+        (* [r] is refined after [l], as on a copy: when [l = r] it starts
+           from [l'], and its write below overrides [l']'s *)
+        let r' = refine1 (if r = l then l' else ir) (Types.swap_cond c) il in
+        Some (l, l', r, r')
+    | _ -> None
+  in
+  if first then begin
+    Array.blit out 0 acc 0 (Array.length out);
+    match refined with
+    | Some (l, l', r, r') ->
+        sset acc l l';
+        sset acc r r'
+    | None -> ()
+  end
+  else
+    match refined with
+    | None -> join_into acc out
+    | Some (l, l', r, r') ->
+        let al = sget acc l and ar = sget acc r in
+        join_into acc out;
+        sset acc l (join al l');
+        sset acc r (join ar r')
+
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
@@ -237,6 +288,9 @@ type t = {
   call_ranges : (string -> interval option) option;
       (** kept so {!before}/{!after} replays see the same call facts the
           fixpoint did *)
+  scratch : state;
+      (** the replay buffer of the queries, so a [t] must not be queried
+          from two domains at once *)
 }
 
 let widen_threshold = 3
@@ -245,7 +299,7 @@ let widen_threshold = 3
     program constant (plus a few standard marks) instead of straight to
     infinity — loop bounds like [i < n] survive the ascending phase this
     way, where a plain widen-then-narrow cannot recover them through the
-    header join. *)
+    header join. Sorted ascending, as native ints. *)
 let collect_thresholds (f : Cfg.func) =
   let acc = ref [ -1L; 0L; 1L; 255L; 65535L; i32_min; i32_max ] in
   Cfg.iter_instrs
@@ -255,37 +309,71 @@ let collect_thresholds (f : Cfg.func) =
           acc := v :: Int64.add v 1L :: Int64.sub v 1L :: !acc
       | _ -> ())
     f;
-  let arr = Array.of_list (List.sort_uniq compare (List.filter in_i32 !acc)) in
-  arr
+  Array.of_list (List.map Int64.to_int (List.sort_uniq compare (List.filter in_i32 !acc)))
 
-let widen ~thresholds (prev : interval) (next : interval) : interval =
-  let lo =
-    if fst next < fst prev then begin
-      (* largest threshold <= next.lo *)
-      let best = ref i32_min in
-      Array.iter (fun t -> if t <= fst next && t > !best then best := t) thresholds;
-      !best
-    end
-    else fst prev
+let i32_min_int = Int64.to_int i32_min
+let i32_max_int = Int64.to_int i32_max
+
+(** The last widening step: every unstable bound jumps to the type's. *)
+let full_range = [| i32_min_int; i32_max_int |]
+
+(** Largest threshold [<= x], else [i32_min] (binary search). *)
+let threshold_below (thresholds : int array) x =
+  let lo = ref 0 and hi = ref (Array.length thresholds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if thresholds.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then i32_min_int else thresholds.(!lo - 1)
+
+(** Smallest threshold [>= x], else [i32_max] (binary search). *)
+let threshold_above (thresholds : int array) x =
+  let lo = ref 0 and hi = ref (Array.length thresholds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if thresholds.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  if !lo = Array.length thresholds then i32_max_int else thresholds.(!lo)
+
+(** Merge the join [fresh] into the entry state [cur] in place: a plain
+    join for the first [widen_threshold] growing visits, then threshold
+    widening, then — still climbing after several threshold hops — a jump
+    to the full range so convergence stays linear. *)
+let merge_into ~visits ~thresholds (cur : state) (fresh : state) =
+  let widen_with =
+    if visits > (2 * widen_threshold) + 3 then Some full_range
+    else if visits > widen_threshold then Some thresholds
+    else None
   in
-  let hi =
-    if snd next > snd prev then begin
-      let best = ref i32_max in
-      Array.iter (fun t -> if t >= snd next && t < !best then best := t) thresholds;
-      !best
-    end
-    else snd prev
+  for k = 0 to (Array.length cur / 2) - 1 do
+    let lo = 2 * k and hi = (2 * k) + 1 in
+    if fresh.(lo) < cur.(lo) then
+      cur.(lo) <-
+        (match widen_with with Some ts -> threshold_below ts fresh.(lo) | None -> fresh.(lo));
+    if fresh.(hi) > cur.(hi) then
+      cur.(hi) <-
+        (match widen_with with Some ts -> threshold_above ts fresh.(hi) | None -> fresh.(hi))
+  done
+
+(** [a] is more precise than or equal to [b]: pointwise containment. *)
+let state_le (a : state) (b : state) =
+  let rec go k =
+    k < 0 || (a.(2 * k) >= b.(2 * k) && a.((2 * k) + 1) <= b.((2 * k) + 1) && go (k - 1))
   in
-  (lo, hi)
+  go ((Array.length a / 2) - 1)
 
 let compute ?call_ranges (f : Cfg.func) =
   let nregs = Cfg.num_regs f in
   let nblocks = Cfg.num_blocks f in
   let tracked = Array.init nregs (fun r -> Cfg.reg_ty f r = I32) in
   let entry_states = Array.init nblocks (fun _ -> state_make nregs) in
+  let exit_states = Array.init nblocks (fun _ -> Array.make (2 * nregs) 0) in
+  let exit_valid = Array.make nblocks false in
+  let scratch = Array.make (2 * nregs) 0 in
   let preds = Cfg.preds f in
   let reach = Cfg.reachable f in
   let rpo = Cfg.rpo f in
+  let entry = Cfg.entry f in
   let visits = Array.make nblocks 0 in
   let thresholds = collect_thresholds f in
   (* blocks whose entry state has been computed at least once; states of
@@ -293,52 +381,44 @@ let compute ?call_ranges (f : Cfg.func) =
      sees only its forward predecessors — essential for keeping bounds
      like [0 <= i] through the ascending phase *)
   let computed = Array.make nblocks false in
-  if nblocks > 0 then computed.(Cfg.entry f) <- true;
-  (* exit states are cached; a block's cache is dropped when its entry
-     state changes *)
-  let out_cache : state option array = Array.make nblocks None in
+  if nblocks > 0 then computed.(entry) <- true;
+  (* a block's exit state is recomputed only when its entry has changed *)
   let out_state bid =
-    match out_cache.(bid) with
-    | Some st -> st
-    | None ->
-        let st = Array.copy entry_states.(bid) in
-        List.iter (fun i -> transfer ?call_ranges ~tracked st i) (Cfg.body (Cfg.block f bid));
-        out_cache.(bid) <- Some st;
-        st
+    let st = exit_states.(bid) in
+    if not exit_valid.(bid) then begin
+      Array.blit entry_states.(bid) 0 st 0 (2 * nregs);
+      List.iter (fun i -> transfer ?call_ranges ~tracked st i) (Cfg.body (Cfg.block f bid));
+      exit_valid.(bid) <- true
+    end;
+    st
   in
-  let set_entry bid st =
-    entry_states.(bid) <- st;
-    out_cache.(bid) <- None
+  (* [dirty.(b)]: some predecessor's exit may have changed since [b] was
+     last visited (see the module header for why skipping clean blocks is
+     exact) *)
+  let dirty = Array.make nblocks true in
+  let entry_changed bid =
+    exit_valid.(bid) <- false;
+    List.iter (fun s -> dirty.(s) <- true) (Cfg.succs (Cfg.block f bid))
   in
-  let entry_from_preds bid =
-    let ps = List.filter (fun p -> reach.(p) && computed.(p)) preds.(bid) in
-    match ps with
-    | [] -> state_make nregs
-    | _ ->
-        let contribs =
-          List.map
-            (fun p ->
-              let o = out_state p in
-              refine_for_edge ~tracked o (Cfg.term (Cfg.block f p)) bid)
-            ps
-        in
-        let acc = Array.copy (List.hd contribs) in
-        List.iter
-          (fun (c : state) ->
-            for k = 0 to nregs - 1 do
-              if c.(2 * k) < acc.(2 * k) then acc.(2 * k) <- c.(2 * k);
-              if c.((2 * k) + 1) > acc.((2 * k) + 1) then acc.((2 * k) + 1) <- c.((2 * k) + 1)
-            done)
-          (List.tl contribs);
-        acc
+  (* the join over the computed predecessors, into [scratch] *)
+  let join_preds bid =
+    let first = ref true in
+    List.iter
+      (fun p ->
+        if reach.(p) && computed.(p) then begin
+          join_edge ~tracked ~first:!first scratch (out_state p) (Cfg.term (Cfg.block f p)) bid;
+          first := false
+        end)
+      preds.(bid);
+    if !first then set_top scratch
   in
-  let state_le (a : state) (b : state) =
-    (* a more precise or equal to b, pointwise containment *)
-    let ok = ref true in
-    for k = 0 to nregs - 1 do
-      if a.(2 * k) < b.(2 * k) || a.((2 * k) + 1) > b.((2 * k) + 1) then ok := false
-    done;
-    !ok
+  let visit bid =
+    let go = reach.(bid) && bid <> entry && dirty.(bid) in
+    if go then begin
+      dirty.(bid) <- false;
+      join_preds bid
+    end;
+    go
   in
   (* ascending phase with widening *)
   let changed = ref true in
@@ -349,95 +429,76 @@ let compute ?call_ranges (f : Cfg.func) =
     changed := false;
     List.iter
       (fun bid ->
-        if reach.(bid) && bid <> Cfg.entry f then begin
-          let fresh = entry_from_preds bid in
+        if visit bid then begin
+          let cur = entry_states.(bid) in
           if not computed.(bid) then begin
-            set_entry bid fresh;
+            Array.blit scratch 0 cur 0 (2 * nregs);
             computed.(bid) <- true;
+            entry_changed bid;
             changed := true
           end
-          else if not (state_le fresh entry_states.(bid)) then begin
+          else if not (state_le scratch cur) then begin
             visits.(bid) <- visits.(bid) + 1;
-            let merged =
-              let cur = entry_states.(bid) in
-              let m = state_make nregs in
-              for r = 0 to nregs - 1 do
-                let combined =
-                  if visits.(bid) > (2 * widen_threshold) + 3 then
-                    (* still climbing after several threshold hops: give up
-                       and jump to full range so convergence stays linear *)
-                    widen ~thresholds:[| i32_min; i32_max |] (sget cur r) (sget fresh r)
-                  else if visits.(bid) > widen_threshold then
-                    widen ~thresholds (sget cur r) (sget fresh r)
-                  else join (sget cur r) (sget fresh r)
-                in
-                sset m r combined
-              done;
-              m
-            in
-            set_entry bid merged;
+            merge_into ~visits:visits.(bid) ~thresholds cur scratch;
+            entry_changed bid;
             changed := true
           end
         end)
       rpo
   done;
   (* descending (narrowing) phase: a few plain recomputations *)
+  Array.fill dirty 0 nblocks true;
   for _ = 1 to 2 do
     List.iter
       (fun bid ->
-        if reach.(bid) && bid <> Cfg.entry f then set_entry bid (entry_from_preds bid))
+        if visit bid then begin
+          let cur = entry_states.(bid) in
+          if scratch <> cur then begin
+            Array.blit scratch 0 cur 0 (2 * nregs);
+            entry_changed bid
+          end
+        end)
       rpo
   done;
-  { func = f; entry_states; tracked; call_ranges }
+  { func = f; entry_states; tracked; call_ranges; scratch }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Replay block [bid] from its entry state into [t.scratch], stopping
+   just before instruction [upto] or just after [through] (pass [-1] for
+   neither). A stop missing from the block yields the state at its end. *)
+let replay t bid ~upto ~through =
+  let st = t.scratch in
+  Array.blit t.entry_states.(bid) 0 st 0 (Array.length st);
+  let rec go = function
+    | [] -> ()
+    | (i : Instr.t) :: rest ->
+        if i.iid <> upto then begin
+          transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
+          if i.iid <> through then go rest
+        end
+  in
+  go (Cfg.body (Cfg.block t.func bid));
+  st
+
+let untracked t r = r >= Array.length t.tracked || not t.tracked.(r)
+
 (** Range of register [r] immediately before instruction [iid] in block
     [bid]. *)
 let before t ~bid ~iid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
-  else begin
-    let st = Array.copy t.entry_states.(bid) in
-    let rec go = function
-      | [] -> sget st r
-      | (i : Instr.t) :: rest ->
-          if i.iid = iid then sget st r
-          else begin
-            transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
-            go rest
-          end
-    in
-    go (Cfg.body (Cfg.block t.func bid))
-  end
+  if untracked t r then top else sget (replay t bid ~upto:iid ~through:(-1)) r
 
 (** Range of the value produced by instruction [iid] (which must define a
     tracked register), immediately after it. *)
 let after t ~bid ~iid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
-  else begin
-    let st = Array.copy t.entry_states.(bid) in
-    let rec go = function
-      | [] -> sget st r
-      | (i : Instr.t) :: rest ->
-          transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
-          if i.iid = iid then sget st r else go rest
-    in
-    go (Cfg.body (Cfg.block t.func bid))
-  end
+  if untracked t r then top else sget (replay t bid ~upto:(-1) ~through:iid) r
 
 (** Range of register [r] at the end of block [bid], just before the
     terminator — the state a [Ret] observes. *)
 let at_exit t ~bid r =
-  if r >= Array.length t.tracked || not t.tracked.(r) then top
-  else begin
-    let st = Array.copy t.entry_states.(bid) in
-    List.iter
-      (fun i -> transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i)
-      (Cfg.body (Cfg.block t.func bid));
-    sget st r
-  end
+  if untracked t r then top else sget (replay t bid ~upto:(-1) ~through:(-1)) r
 
 (** Does [r]'s 32-bit value lie within [lo, hi] just before [iid]? *)
 let within t ~bid ~iid r ~lo ~hi =

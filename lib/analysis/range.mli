@@ -5,7 +5,12 @@
     whatever the upper half holds). Conditional branches refine ranges on
     their out-edges; array accesses refine their index (the paper's [LS]
     predicate); loops converge by threshold widening plus narrowing.
-    Queries replay the containing block from its entry state. *)
+    The fixpoint allocates each block's entry and exit state once and
+    updates them in place, skipping blocks whose predecessors' exits have
+    not changed since their last visit (exact; see the implementation
+    header). Queries replay the containing block from its entry state
+    into a buffer owned by the {!t}, so they allocate no state: a {!t}
+    must not be queried from two domains at once. *)
 
 type interval = int64 * int64
 
@@ -20,6 +25,23 @@ val binop_interval : Sxe_ir.Types.binop -> interval -> interval -> interval
     overflowing bound collapses to [top]). *)
 
 val unop_interval : Sxe_ir.Types.unop -> interval -> interval
+
+type state = int array
+(** A per-block state: the interval of register [r] is stored as native
+    ints, [lo] at [2r] and [hi] at [2r + 1]. *)
+
+val transfer :
+  ?call_ranges:(string -> interval option) ->
+  tracked:bool array ->
+  state ->
+  Sxe_ir.Instr.t ->
+  unit
+(** Apply one instruction to a state in place; only registers marked in
+    [tracked] are read or written. Exposed, with {!refine1}, so tests can
+    run a reference fixpoint over exactly the same transfer functions. *)
+
+val refine1 : interval -> Sxe_ir.Types.cond -> interval -> interval
+(** [refine1 x c y] narrows [x] by the fact [x c y]. *)
 
 type t
 

@@ -18,7 +18,14 @@
     published table) is sound on its own; more rounds only tighten
     call-chain facts ([f] calling [g] calling a constant needs two).
     Recursive functions are handled by the same argument — their round-1
-    summary assumed nothing. *)
+    summary assumed nothing.
+
+    A round that reproduces the previous round's table ends the loop
+    early: each round is a deterministic function of the previous table,
+    so every later round would reproduce it too and the published table
+    is the one the full count of rounds would give. The round count stays
+    a cap, not a convergence bound — running past it could tighten facts
+    and move the Table 1/2 counters. *)
 
 open Sxe_ir
 
@@ -43,23 +50,33 @@ let return_range (rng : Range.t) (f : Cfg.func) : Range.interval option =
     f;
   !acc
 
+(** Same bindings: a round reading [a] computes what one reading [b]
+    does. *)
+let same_table (a : t) (b : t) =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold (fun k v ok -> ok && Hashtbl.find_opt b k = Some v) a true
+
 let compute ?(rounds = default_rounds) (p : Prog.t) : t =
   let t = Hashtbl.create 16 in
-  for _ = 1 to rounds do
-    (* read the previous round's table while writing this round's: a
-       half-updated table would make the result depend on function
-       order *)
-    let prev = Hashtbl.copy t in
-    Prog.iter_funcs
-      (fun f ->
-        if f.Cfg.ret = Some Types.I32 then begin
-          let rng = Range.compute ~call_ranges:(fun n -> Hashtbl.find_opt prev n) f in
-          match return_range rng f with
-          | Some iv -> Hashtbl.replace t f.Cfg.name iv
-          | None -> Hashtbl.remove t f.Cfg.name
-        end)
-      p
-  done;
+  let rec round k =
+    if k <= rounds then begin
+      (* read the previous round's table while writing this round's: a
+         half-updated table would make the result depend on function
+         order *)
+      let prev = Hashtbl.copy t in
+      Prog.iter_funcs
+        (fun f ->
+          if f.Cfg.ret = Some Types.I32 then begin
+            let rng = Range.compute ~call_ranges:(fun n -> Hashtbl.find_opt prev n) f in
+            match return_range rng f with
+            | Some iv -> Hashtbl.replace t f.Cfg.name iv
+            | None -> Hashtbl.remove t f.Cfg.name
+          end)
+        p;
+      if not (same_table t prev) then round (k + 1)
+    end
+  in
+  round 1;
   t
 
 let find (t : t) fname = Hashtbl.find_opt t fname

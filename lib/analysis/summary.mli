@@ -10,9 +10,11 @@ type t
 val default_rounds : int
 
 val compute : ?rounds:int -> Sxe_ir.Prog.t -> t
-(** Analyse every [I32]-returning function [rounds] times (default
-    {!default_rounds}), feeding each round the previous round's
-    summaries. Deterministic in program order. *)
+(** Analyse every [I32]-returning function for up to [rounds] rounds
+    (default {!default_rounds}), feeding each round the previous round's
+    summaries, and stop early once a round reproduces the previous
+    table (the result is then the one the remaining rounds would give).
+    Deterministic in program order. *)
 
 val find : t -> string -> Range.interval option
 (** The summarised return interval of a function, if it has a reachable

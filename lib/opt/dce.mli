@@ -1,5 +1,6 @@
 (** Dead code elimination over DU chains: removes definitions no use can
-    observe, iterating to a fixpoint. Side-effecting (including
-    potentially-throwing) instructions are kept. *)
+    observe, to a fixpoint, from one chain build and a worklist.
+    Side-effecting (including potentially-throwing) instructions are
+    kept. *)
 
 val run : Sxe_ir.Cfg.func -> bool

@@ -39,22 +39,24 @@ let run (f : Cfg.func) =
           if not !deleted then begin
             (* invalidate: expressions killed by this instruction, and
                expressions whose holding register it overwrites *)
-            Hashtbl.iter
-              (fun key (operands, sym) ->
+            Hashtbl.filter_map_inplace
+              (fun key ((operands, sym) as e) ->
                 if Exprs.kills i (key, operands, sym) then begin
                   Hashtbl.remove avail key;
-                  Hashtbl.remove info key
-                end)
-              (Hashtbl.copy info);
+                  None
+                end
+                else Some e)
+              info;
             (match Instr.def i.op with
             | Some d ->
-                Hashtbl.iter
+                Hashtbl.filter_map_inplace
                   (fun key v ->
                     if v = d then begin
-                      Hashtbl.remove avail key;
-                      Hashtbl.remove info key
-                    end)
-                  (Hashtbl.copy avail)
+                      Hashtbl.remove info key;
+                      None
+                    end
+                    else Some v)
+                  avail
             | None -> ());
             (* record the value this instruction now holds; an op whose
                destination is among its own operands (i = i + 1) computes

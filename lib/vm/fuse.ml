@@ -101,16 +101,28 @@ let parse (s : string) : (selection, string) result =
                (String.concat ", " bad)
                (String.concat ", " rule_names)))
 
+(** [once f] memoizes [f ()] and is safe to call from several domains at
+    once, which forcing a shared [Lazy.t] is not (a concurrent force
+    raises [CamlinternalLazy.Undefined]). Racing first callers may each
+    run [f]; the first result published wins and every caller returns it.
+    An exception is not memoized: it reaches every caller that runs [f]. *)
+let once (f : unit -> 'a) : unit -> 'a =
+  let memo = Atomic.make None in
+  fun () ->
+    match Atomic.get memo with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        if Atomic.compare_and_set memo None (Some v) then v else Option.get (Atomic.get memo)
+
 (** The ambient selection: [SXE_FUSE], read once. A malformed value is a
     hard error — a typo that silently disabled fusion would invalidate
     every measurement taken under it. *)
 let of_env : unit -> selection =
-  let memo = lazy (
-    match Sys.getenv_opt "SXE_FUSE" with
-    | None | Some "" -> All
-    | Some s -> (
-        match parse s with
-        | Ok sel -> sel
-        | Error msg -> invalid_arg ("SXE_FUSE: " ^ msg)))
-  in
-  fun () -> Lazy.force memo
+  once (fun () ->
+      match Sys.getenv_opt "SXE_FUSE" with
+      | None | Some "" -> All
+      | Some s -> (
+          match parse s with
+          | Ok sel -> sel
+          | Error msg -> invalid_arg ("SXE_FUSE: " ^ msg)))

@@ -22,4 +22,11 @@ val parse : string -> (selection, string) result
 
 val of_env : unit -> selection
 (** The ambient selection from [SXE_FUSE] (default [All]); raises
-    [Invalid_argument] on a malformed value. *)
+    [Invalid_argument] on a malformed value. Safe to call from several
+    domains at once. *)
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is [f ()], computed on the first call and then memoized,
+    safe to call from several domains at once: racing first callers may
+    each run [f], and all of them return the first result published. An
+    exception from [f] is not memoized. *)

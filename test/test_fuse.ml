@@ -259,9 +259,41 @@ let test_cache_keyed_by_selection () =
   Alcotest.(check bool) "mutation drops the cached image" true (not (fused3 == fused1));
   ignore (check3 "after mutation" p)
 
+(* ------------------------------------------------------------------ *)
+(* Domain-safe ambient selection                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [of_env] is [once] applied to the [SXE_FUSE] parser. It is a single
+   process-wide memo that earlier suites have already published, so it
+   cannot be raced here; the race is exercised on fresh [once] memos
+   instead. Four domains, released together, call one memo; repeated
+   over many memos. Every caller must get the single published value.
+   (A shared [Lazy.t] fails this: forcing it from two domains at once
+   raises [CamlinternalLazy.Undefined].) *)
+let test_once_concurrent () =
+  let domains = 4 in
+  for trial = 1 to 100 do
+    let memo = Sxe_vm.Fuse.once (fun () -> Sxe_vm.Fuse.Rules [ string_of_int trial ]) in
+    let ready = Atomic.make 0 in
+    let call () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      memo ()
+    in
+    let results = List.map Domain.join (List.init domains (fun _ -> Domain.spawn call)) in
+    List.iter
+      (fun sel ->
+        if not (sel == memo ()) then
+          Alcotest.failf "trial %d: callers returned different memoized values" trial)
+      results
+  done
+
 let suite =
   [
     Alcotest.test_case "selection parsing" `Quick test_parse;
+    Alcotest.test_case "once (the of_env memo) under 4 racing domains" `Quick test_once_concurrent;
     Alcotest.test_case "single-rule selection" `Quick test_rules_subset;
     Alcotest.test_case "fused groups never shadow a branch target" `Quick
       test_branch_target_barrier;

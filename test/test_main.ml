@@ -6,6 +6,7 @@ let () =
       ("cfg", Test_cfg.suite);
       ("dataflow", Test_dataflow.suite);
       ("range", Test_range.suite);
+      ("parity", Test_parity.suite);
       ("opt", Test_opt.suite);
       ("convert", Test_convert.suite);
       ("demand", Test_demand.suite);
