@@ -445,19 +445,6 @@ let bechamel () =
 (* BENCH_vm.json: machine-readable interpreter timings for CI           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Element-wise merge of the two suites' pool counters. *)
 let merge_stats (a : Sxe_par.Pool.stats) (b : Sxe_par.Pool.stats) : Sxe_par.Pool.stats =
   let add2 x y = Array.init (Array.length x) (fun i -> x.(i) + y.(i)) in
@@ -552,7 +539,7 @@ let json_artifact () =
   Printf.fprintf oc "  \"tests\": {\n";
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %s%s\n" (json_escape name) (num v)
+      Printf.fprintf oc "    \"%s\": %s%s\n" (Sxe_util.Json.escape name) (num v)
         (if i = List.length results - 1 then "" else ","))
     results;
   (* vm_ab: the interleaved-median raw times behind the ratio rows *)
@@ -562,7 +549,7 @@ let json_artifact () =
     (fun i (wname, (s, u, f)) ->
       Printf.fprintf oc
         "    \"%s\": { \"structural_ms\": %.3f, \"precode_ms\": %.3f, \"fused_ms\": %.3f }%s\n"
-        (json_escape wname) s u f
+        (Sxe_util.Json.escape wname) s u f
         (if i = List.length ab - 1 then "" else ","))
     ab;
   let ratio_row oc label num den =
@@ -570,7 +557,7 @@ let json_artifact () =
     List.iteri
       (fun i (wname, m) ->
         let ratio = num m /. den m in
-        Printf.fprintf oc "    \"%s\": %s%s\n" (json_escape wname)
+        Printf.fprintf oc "    \"%s\": %s%s\n" (Sxe_util.Json.escape wname)
           (if Float.is_nan ratio then "null" else Printf.sprintf "%.2f" ratio)
           (if i = List.length ab - 1 then "" else ","))
       ab
@@ -583,12 +570,12 @@ let json_artifact () =
   List.iteri
     (fun i wname ->
       let pairs = dispatch_pairs wname in
-      Printf.fprintf oc "    \"%s\": [" (json_escape wname);
+      Printf.fprintf oc "    \"%s\": [" (Sxe_util.Json.escape wname);
       List.iteri
         (fun j ((a, b), c) ->
           Printf.fprintf oc "%s\n      { \"first\": \"%s\", \"second\": \"%s\", \"count\": %d }"
             (if j = 0 then "" else ",")
-            (json_escape a) (json_escape b) c)
+            (Sxe_util.Json.escape a) (Sxe_util.Json.escape b) c)
         pairs;
       Printf.fprintf oc "%s]%s\n"
         (if pairs = [] then "" else "\n    ")
@@ -610,7 +597,7 @@ let json_artifact () =
       Printf.fprintf oc
         "    \"%s\": { \"static_baseline\": %d, \"static_all\": %d, \
          \"dyn_baseline\": %Ld, \"dyn_all\": %Ld }%s\n"
-        (json_escape wname) sb sf db df
+        (Sxe_util.Json.escape wname) sb sf db df
         (if i = List.length zr - 1 then "" else ","))
     zr;
   Printf.fprintf oc "  },\n  \"parallel\": {\n";
@@ -619,7 +606,7 @@ let json_artifact () =
   (match par_skip with
   | Some reason ->
       (* no parallel build ran: record why instead of fake numbers *)
-      Printf.fprintf oc ",\n    \"skipped\": \"%s\",\n" (json_escape reason);
+      Printf.fprintf oc ",\n    \"skipped\": \"%s\",\n" (Sxe_util.Json.escape reason);
       Printf.fprintf oc "    \"matrix_wall_s_seq\": %.3f\n" seq_s
   | None ->
       Printf.fprintf oc ",\n";

@@ -22,16 +22,17 @@
    audit on findings), so CI can trust exit status. *)
 
 open Cmdliner
+module Json = Sxe_util.Json
 
 let read_source path =
   if path = "-" then In_channel.input_all stdin
   else In_channel.with_open_text path In_channel.input_all
 
-(* The variant table and the optimize+certify+codegen path live in
-   Sxe_serve.Compile_one so the daemon and the one-shot subcommands are
-   the same computation. *)
-let variant_names = Sxe_serve.Compile_one.variant_names
-let config_of = Sxe_serve.Compile_one.config_of
+(* The variant and arch tables live in Sxe_core (Config, Arch); the
+   optimize+certify+codegen path lives in Sxe_serve.Compile_one, so the
+   daemon and the one-shot subcommands are the same computation. *)
+let variant_names = Sxe_core.Config.variant_names
+let config_of = Sxe_core.Config.of_variant
 
 (* -- common arguments ------------------------------------------------- *)
 
@@ -53,8 +54,7 @@ let variant_arg =
 let arch_arg =
   Arg.(
     value
-    & opt (enum [ ("ia64", Sxe_core.Arch.ia64); ("ppc64", Sxe_core.Arch.ppc64) ])
-        Sxe_core.Arch.ia64
+    & opt (enum Sxe_core.Arch.names) Sxe_core.Arch.ia64
     & info [ "a"; "arch" ] ~docv:"ARCH" ~doc:"Target model: ia64 or ppc64.")
 
 let maxlen_arg =
@@ -630,32 +630,31 @@ let bench_cmd =
           in
           let pairs = Sxe_vm.Precode.dispatch_counts prof in
           let pairs = if top > 0 then List.filteri (fun i _ -> i < top) pairs else pairs in
-          let pairs_json =
-            String.concat ","
-              (List.map
-                 (fun ((a, b), c) ->
-                   Printf.sprintf
-                     "\n      {\"first\":\"%s\",\"second\":\"%s\",\"count\":%d}" a b c)
-                 pairs)
-          in
-          Printf.sprintf
-            "    \"%s\": {\n      \"executed\": %Ld,\n      \"trap\": %s,\n      \
-             \"pairs\": [%s%s]\n    }"
-            (String.escaped w.name) out.Sxe_vm.Interp.executed
-            (match out.Sxe_vm.Interp.trap with
-            | Some t -> "\"" ^ String.escaped t ^ "\""
-            | None -> "null")
-            pairs_json
-            (if pairs = [] then "" else "\n    "))
+          ( w.name,
+            Json.Obj
+              [
+                ("executed", Json.Int out.Sxe_vm.Interp.executed);
+                ( "trap",
+                  Option.fold ~none:Json.Null ~some:(fun t -> Json.Str t) out.Sxe_vm.Interp.trap );
+                ( "pairs",
+                  Json.Arr
+                    (List.map
+                       (fun ((a, b), c) ->
+                         Json.Obj
+                           [ ("first", Json.Str a); ("second", Json.Str b); ("count", Json.of_int c) ])
+                       pairs) );
+              ] ))
         ws
     in
-    Printf.printf
-      "{\n  \"variant\": \"%s\",\n  \"fuse\": \"%s\",\n  \"scale\": %d,\n  \
-       \"workloads\": {\n%s\n  }\n}\n"
-      (String.escaped config.Sxe_core.Config.name)
-      (String.escaped (Sxe_vm.Fuse.key fuse_sel))
-      scale
-      (String.concat ",\n" items)
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("variant", Json.Str config.Sxe_core.Config.name);
+              ("fuse", Json.Str (Sxe_vm.Fuse.key fuse_sel));
+              ("scale", Json.of_int scale);
+              ("workloads", Json.Obj items);
+            ]))
   in
   Cmd.v
     (Cmd.info "bench" ~doc ~man)
@@ -663,13 +662,13 @@ let bench_cmd =
       const run $ dispatch_arg $ workload_arg $ variant_arg $ arch_arg $ maxlen_arg
       $ scale_arg $ fuse_arg $ top_arg)
 
-(* -- certify / lint -------------------------------------------------------- *)
+(* -- certify / lint / audit: the checking matrix ------------------------- *)
 
-(* Shared input/variant plumbing of the two static-checking subcommands:
-   inputs come from a FILE (MiniJ or .sxir), --workloads (all built-in
-   benchmarks, extras included) and/or --corpus DIR; each input is
-   compiled under the selected variant(s) and the checker runs on the
-   optimized output. *)
+(* Shared plumbing of the three static-checking subcommands: inputs come
+   from a FILE (MiniJ or .sxir), --workloads (all built-in benchmarks,
+   extras included) and/or --corpus DIR; each input is compiled under
+   the selected variant(s) and the checker runs on the optimized
+   output. *)
 
 let opt_file_arg =
   Arg.(
@@ -733,29 +732,59 @@ let check_inputs file workloads corpus : (string * Sxe_ir.Prog.t) list =
       exit 2
   | inputs -> inputs
 
-let check_configs variant arch maxlen all_variants : Sxe_core.Config.t list =
-  if all_variants then Sxe_fuzz.Oracle.all_variants ~arch ~maxlen ()
-  else [ config_of ~arch ~maxlen variant ]
+type matrix = {
+  inputs : (string * Sxe_ir.Prog.t) list;
+  configs : Sxe_core.Config.t list;
+  maxlen : int64;
+  json : bool;
+  jobs : int;
+}
 
-(* The (input, variant) cells of the checking matrix, in the order the
-   sequential nested loops visited them: inputs outer, variants inner.
-   Inputs are frozen first so concurrent workers can clone one base
-   program without racing on the body-append flush. *)
-let check_cells inputs configs =
-  List.iter (fun (_, p) -> Sxe_ir.Clone.freeze_prog p) inputs;
-  List.concat_map
-    (fun (name, base) ->
-      List.map (fun (c : Sxe_core.Config.t) -> (name, base, c)) configs)
-    inputs
+(* The arguments the three subcommands share. The term yields a thunk so
+   inputs load (and usage errors exit) inside [with_frontend_errors]. *)
+let matrix_term =
+  let make file variant arch maxlen all_variants workloads corpus json jobs () =
+    let jobs = resolve_jobs jobs in
+    let inputs = check_inputs file workloads corpus in
+    let configs =
+      if all_variants then Sxe_core.Config.all ~arch ~maxlen ()
+      else [ config_of ~arch ~maxlen variant ]
+    in
+    { inputs; configs; maxlen; json; jobs }
+  in
+  Term.(
+    const make $ opt_file_arg $ variant_arg $ arch_arg $ maxlen_arg
+    $ all_variants_flag $ workloads_flag $ corpus_flag $ json_flag $ jobs_arg)
 
-(* Compile [input] under [config] and hand the optimized program to
-   [check]; compiler crashes count as findings, not tool crashes. *)
-let compiled_check ~(check : Sxe_ir.Prog.t -> 'a list) ~(crash : string -> 'a)
-    (config : Sxe_core.Config.t) (p : Sxe_ir.Prog.t) : 'a list =
-  let p = Sxe_ir.Clone.clone_prog p in
-  match Sxe_core.Pass.compile config p with
-  | exception e -> [ crash (Printexc.to_string e) ]
-  | _ -> check p
+(* Run [cell input base config] over every (input, config) pair, inputs
+   outer and configs inner, on [m.jobs] domains. Results reach [text] on
+   the calling domain in that order; with --json, [to_json] instead, and
+   the objects print as one array at the end. Inputs are frozen first so
+   concurrent workers can clone one base program without racing on the
+   body-append flush. Returns the results in matrix order. *)
+let run_matrix m ~cell ~text ~to_json =
+  List.iter (fun (_, p) -> Sxe_ir.Clone.freeze_prog p) m.inputs;
+  let cells =
+    List.concat_map
+      (fun (name, base) -> List.map (fun c -> (name, base, c)) m.configs)
+      m.inputs
+  in
+  let results = ref [] in
+  Sxe_par.Pool.with_pool ~jobs:m.jobs (fun pool ->
+      Sxe_par.Pool.consume_map pool
+        (fun (name, base, config) -> cell name base config)
+        ~consume:(fun _ r ->
+          results := r :: !results;
+          if not m.json then text r)
+        cells);
+  let results = List.rev !results in
+  if m.json then
+    print_endline (Json.to_string (Json.Arr (List.filter_map to_json results)));
+  results
+
+(* One certify/lint cell as JSON. *)
+let cell_json name vname key items =
+  Some (Json.Obj [ ("input", Json.Str name); ("variant", Json.Str vname); (key, Json.Arr items) ])
 
 (* Severity threshold for failing the run, shared by lint and audit.
    [None] = the subcommand's default (error-severity findings only). *)
@@ -784,17 +813,12 @@ let certify_cmd =
          Exits 1 on any certification error, 2 on usage errors.";
     ]
   in
-  let run file variant arch maxlen all_variants workloads corpus json jobs =
+  let run m =
     with_frontend_errors @@ fun () ->
-    let jobs = resolve_jobs jobs in
-    let inputs = check_inputs file workloads corpus in
-    let configs = check_configs variant arch maxlen all_variants in
-    let cells = check_cells inputs configs in
-    let failed = ref false in
-    let json_items = ref [] in
-    let check_cell (name, base, (config : Sxe_core.Config.t)) =
+    let m = m () in
+    let cell name base (config : Sxe_core.Config.t) =
       let errs =
-        match Sxe_serve.Compile_one.run_prog ~config ~maxlen base with
+        match Sxe_serve.Compile_one.run_prog ~config ~maxlen:m.maxlen base with
         | o -> o.Sxe_serve.Compile_one.errors
         | exception e ->
             [
@@ -812,16 +836,8 @@ let certify_cmd =
       in
       (name, config.Sxe_core.Config.name, errs)
     in
-    let consume _ (name, vname, errs) =
-      if errs <> [] then failed := true;
-      if json then
-        json_items :=
-          Printf.sprintf "{\"input\":%s,\"variant\":%s,\"errors\":%s}"
-            ("\"" ^ String.escaped name ^ "\"")
-            ("\"" ^ String.escaped vname ^ "\"")
-            (Sxe_check.Check.errors_to_json errs)
-          :: !json_items
-      else if errs = [] then Printf.printf "certify: %s / %s: ok\n" name vname
+    let text (name, vname, errs) =
+      if errs = [] then Printf.printf "certify: %s / %s: ok\n" name vname
       else begin
         Printf.printf "certify: %s / %s: %d error(s)\n" name vname
           (List.length errs);
@@ -830,17 +846,13 @@ let certify_cmd =
           errs
       end
     in
-    Sxe_par.Pool.with_pool ~jobs (fun pool ->
-        Sxe_par.Pool.consume_map pool check_cell ~consume cells);
-    if json then
-      Printf.printf "[%s]\n" (String.concat "," (List.rev !json_items));
-    if !failed then exit 1
+    let to_json (name, vname, errs) =
+      cell_json name vname "errors" (List.map Sxe_check.Check.error_to_json errs)
+    in
+    let results = run_matrix m ~cell ~text ~to_json in
+    if List.exists (fun (_, _, errs) -> errs <> []) results then exit 1
   in
-  Cmd.v
-    (Cmd.info "certify" ~doc ~man)
-    Term.(
-      const run $ opt_file_arg $ variant_arg $ arch_arg $ maxlen_arg
-      $ all_variants_flag $ workloads_flag $ corpus_flag $ json_flag $ jobs_arg)
+  Cmd.v (Cmd.info "certify" ~doc ~man) Term.(const run $ matrix_term)
 
 let lint_cmd =
   let doc = "Run the IR lint rules over optimized output." in
@@ -870,8 +882,7 @@ let lint_cmd =
       & info [ "rules" ] ~docv:"R1,R2"
           ~doc:"Comma-separated rule subset (default: every registered rule).")
   in
-  let run file variant arch maxlen all_variants workloads corpus json strict
-      fail_on rules jobs =
+  let run m strict fail_on rules =
     with_frontend_errors @@ fun () ->
     let fail_on_warning =
       match fail_on with
@@ -879,9 +890,7 @@ let lint_cmd =
       | Some `Error -> false
       | None -> strict
     in
-    let jobs = resolve_jobs jobs in
-    let inputs = check_inputs file workloads corpus in
-    let configs = check_configs variant arch maxlen all_variants in
+    let m = m () in
     let rules =
       match rules with
       | None -> Sxe_check.Lint.rules ()
@@ -899,59 +908,49 @@ let lint_cmd =
                   exit 2)
             (String.split_on_char ',' s)
     in
-    let cells = check_cells inputs configs in
-    let failed = ref false in
-    let json_items = ref [] in
-    let lint_cell (name, base, (config : Sxe_core.Config.t)) =
+    (* compiler crashes count as findings, not tool crashes *)
+    let cell name base (config : Sxe_core.Config.t) =
+      let p = Sxe_ir.Clone.clone_prog base in
       let findings =
-        compiled_check config base
-          ~check:(fun p -> Sxe_check.Check.lint_prog ~maxlen ~rules p)
-          ~crash:(fun msg ->
-            {
-              Sxe_check.Lint.rule = "compiler-crash";
-              severity = Sxe_check.Lint.Error;
-              fname = "-";
-              bid = 0;
-              iid = None;
-              idx = None;
-              message = msg;
-            })
+        match Sxe_core.Pass.compile config p with
+        | exception e ->
+            [
+              {
+                Sxe_check.Lint.rule = "compiler-crash";
+                severity = Sxe_check.Lint.Error;
+                fname = "-";
+                bid = 0;
+                iid = None;
+                idx = None;
+                message = Printexc.to_string e;
+              };
+            ]
+        | _ -> Sxe_check.Check.lint_prog ~maxlen:m.maxlen ~rules p
       in
       (name, config.Sxe_core.Config.name, findings)
     in
-    let consume _ (name, vname, findings) =
-      let worst = Sxe_check.Lint.max_severity findings in
-      (match worst with
-      | Some Sxe_check.Lint.Error -> failed := true
-      | Some Sxe_check.Lint.Warning when fail_on_warning -> failed := true
-      | _ -> ());
-      if json then
-        json_items :=
-          Printf.sprintf "{\"input\":%s,\"variant\":%s,\"findings\":%s}"
-            ("\"" ^ String.escaped name ^ "\"")
-            ("\"" ^ String.escaped vname ^ "\"")
-            (Sxe_check.Check.findings_to_json findings)
-          :: !json_items
-      else begin
-        Printf.printf "lint: %s / %s: %d finding(s)\n" name vname
-          (List.length findings);
-        List.iter
-          (fun fi -> Printf.printf "  %s\n" (Sxe_check.Lint.finding_to_string fi))
-          findings
-      end
+    let text (name, vname, findings) =
+      Printf.printf "lint: %s / %s: %d finding(s)\n" name vname
+        (List.length findings);
+      List.iter
+        (fun fi -> Printf.printf "  %s\n" (Sxe_check.Lint.finding_to_string fi))
+        findings
     in
-    Sxe_par.Pool.with_pool ~jobs (fun pool ->
-        Sxe_par.Pool.consume_map pool lint_cell ~consume cells);
-    if json then
-      Printf.printf "[%s]\n" (String.concat "," (List.rev !json_items));
-    if !failed then exit 1
+    let to_json (name, vname, findings) =
+      cell_json name vname "findings" (List.map Sxe_check.Check.finding_to_json findings)
+    in
+    let results = run_matrix m ~cell ~text ~to_json in
+    let fails (_, _, findings) =
+      match Sxe_check.Lint.max_severity findings with
+      | Some Sxe_check.Lint.Error -> true
+      | Some Sxe_check.Lint.Warning -> fail_on_warning
+      | _ -> false
+    in
+    if List.exists fails results then exit 1
   in
   Cmd.v
     (Cmd.info "lint" ~doc ~man)
-    Term.(
-      const run $ opt_file_arg $ variant_arg $ arch_arg $ maxlen_arg
-      $ all_variants_flag $ workloads_flag $ corpus_flag $ json_flag
-      $ strict_flag $ fail_on_arg $ rules_arg $ jobs_arg)
+    Term.(const run $ matrix_term $ strict_flag $ fail_on_arg $ rules_arg)
 
 (* -- audit -------------------------------------------------------------- *)
 
@@ -1019,69 +1018,58 @@ let audit_cmd =
             "Instruction budget per verification run (fuel-exhausted runs \
              verify vacuously).")
   in
-  let run file variant arch maxlen all_variants workloads corpus json sarif
-      baseline write_baseline no_verify fuel fail_on jobs =
+  let run m sarif baseline write_baseline no_verify fuel fail_on =
     with_frontend_errors @@ fun () ->
-    let jobs = resolve_jobs jobs in
-    let inputs = check_inputs file workloads corpus in
-    let configs = check_configs variant arch maxlen all_variants in
-    let cells = check_cells inputs configs in
-    let audit_cell (name, base, (config : Sxe_core.Config.t)) =
+    let m = m () in
+    (* [Error] carries a hard failure: a compiler crash or a refuted
+       redundancy claim *)
+    let cell name base (config : Sxe_core.Config.t) =
       let vname = config.Sxe_core.Config.name in
       let p = Sxe_ir.Clone.clone_prog base in
       match Sxe_core.Pass.compile config p with
-      | exception e -> `Crash (name, vname, Printexc.to_string e)
+      | exception e ->
+          Error (Printf.sprintf "%s / %s: compiler crash: %s" name vname (Printexc.to_string e))
       | _ -> (
           match
-            Sxe_audit.Audit.audit_prog ~maxlen ~fuel ~verify:(not no_verify) p
+            Sxe_audit.Audit.audit_prog ~maxlen:m.maxlen ~fuel ~verify:(not no_verify) p
           with
-          | sites, ver ->
-              `Cell ({ Sxe_audit.Report.input = name; variant = vname; sites }, ver)
+          | sites, ver -> Ok ({ Sxe_audit.Report.input = name; variant = vname; sites }, ver)
           | exception Sxe_audit.Audit.Verification_failed msg ->
-              `Verify_failed (name, vname, msg))
+              Error (Printf.sprintf "%s / %s: VERIFICATION FAILED: %s" name vname msg))
     in
-    let hard_failed = ref false in
-    let results = ref [] in
-    let consume _ r =
-      match r with
-      | `Crash (name, vname, detail) ->
-          hard_failed := true;
-          Printf.eprintf "audit: %s / %s: compiler crash: %s\n" name vname detail
-      | `Verify_failed (name, vname, detail) ->
-          hard_failed := true;
-          Printf.eprintf "audit: %s / %s: VERIFICATION FAILED: %s\n" name vname
-            detail
-      | `Cell ((cell : Sxe_audit.Report.cell), ver) ->
-          results := cell :: !results;
-          if not json then begin
-            let n = Sxe_audit.Report.counts cell.Sxe_audit.Report.sites in
-            let vnote =
-              match (ver : Sxe_audit.Audit.verification option) with
-              | None -> ""
-              | Some v ->
-                  Printf.sprintf " (verified %d: %d co-deleted, %d isolated)"
-                    v.Sxe_audit.Audit.attempted v.Sxe_audit.Audit.co_deleted
-                    v.Sxe_audit.Audit.interacting
-            in
-            let sx, zx = Sxe_audit.Report.by_kind cell.Sxe_audit.Report.sites in
-            Printf.printf
-              "audit: %s / %s: %d redundant, %d necessary, %d unknown (%d sext, \
-               %d zext)%s\n"
-              cell.Sxe_audit.Report.input cell.Sxe_audit.Report.variant
-              n.Sxe_audit.Report.redundant n.Sxe_audit.Report.necessary
-              n.Sxe_audit.Report.unknown sx zx vnote;
-            List.iter
-              (fun s -> Printf.printf "  %s\n" (Sxe_audit.Audit.site_to_string s))
-              cell.Sxe_audit.Report.sites
-          end
+    let text = function
+      | Error _ -> ()
+      | Ok ((cell : Sxe_audit.Report.cell), ver) ->
+          let n = Sxe_audit.Report.counts cell.Sxe_audit.Report.sites in
+          let vnote =
+            match (ver : Sxe_audit.Audit.verification option) with
+            | None -> ""
+            | Some v ->
+                Printf.sprintf " (verified %d: %d co-deleted, %d isolated)"
+                  v.Sxe_audit.Audit.attempted v.Sxe_audit.Audit.co_deleted
+                  v.Sxe_audit.Audit.interacting
+          in
+          let sx, zx = Sxe_audit.Report.by_kind cell.Sxe_audit.Report.sites in
+          Printf.printf
+            "audit: %s / %s: %d redundant, %d necessary, %d unknown (%d sext, \
+             %d zext)%s\n"
+            cell.Sxe_audit.Report.input cell.Sxe_audit.Report.variant
+            n.Sxe_audit.Report.redundant n.Sxe_audit.Report.necessary
+            n.Sxe_audit.Report.unknown sx zx vnote;
+          List.iter
+            (fun s -> Printf.printf "  %s\n" (Sxe_audit.Audit.site_to_string s))
+            cell.Sxe_audit.Report.sites
     in
-    Sxe_par.Pool.with_pool ~jobs (fun pool ->
-        Sxe_par.Pool.consume_map pool audit_cell ~consume cells);
-    let results = List.rev !results in
-    if json then print_string (Sxe_audit.Report.cells_to_json results ^ "\n");
+    let to_json = function
+      | Ok (cell, _) -> Some (Sxe_audit.Report.cell_to_json cell)
+      | Error _ -> None
+    in
+    let outcomes = run_matrix m ~cell ~text ~to_json in
+    List.iter (function Error msg -> Printf.eprintf "audit: %s\n" msg | Ok _ -> ()) outcomes;
+    let results = List.filter_map (function Ok (c, _) -> Some c | Error _ -> None) outcomes in
     (match sarif with
     | None -> ()
-    | Some "-" -> print_string (Sxe_audit.Report.sarif results ^ "\n")
+    | Some "-" -> print_endline (Sxe_audit.Report.sarif results)
     | Some path ->
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Sxe_audit.Report.sarif results ^ "\n")));
@@ -1111,16 +1099,15 @@ let audit_cmd =
             .Sxe_audit.Report.redundant > 0)
         results
     in
-    if !hard_failed || regressions <> [] || (fail_on_warning && has_redundant)
+    if List.length results < List.length outcomes || regressions <> []
+       || (fail_on_warning && has_redundant)
     then exit 1
   in
   Cmd.v
     (Cmd.info "audit" ~doc ~man)
     Term.(
-      const run $ opt_file_arg $ variant_arg $ arch_arg $ maxlen_arg
-      $ all_variants_flag $ workloads_flag $ corpus_flag $ json_flag
-      $ sarif_arg $ baseline_arg $ write_baseline_arg $ no_verify_flag
-      $ fuel_arg $ fail_on_arg $ jobs_arg)
+      const run $ matrix_term $ sarif_arg $ baseline_arg $ write_baseline_arg
+      $ no_verify_flag $ fuel_arg $ fail_on_arg)
 
 let () =
   (* The auditor's classifier doubles as lint rules; register them so

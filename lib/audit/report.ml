@@ -8,7 +8,7 @@
     checked into the repository so CI fails when a variant starts
     leaving {e more} provably-redundant extensions behind. *)
 
-let json_str = Sxe_check.Check.json_str
+module Json = Sxe_util.Json
 
 type counts = { redundant : int; necessary : int; unknown : int }
 
@@ -46,7 +46,6 @@ let verdict_tag = function
   | Audit.Unknown _ -> "unknown"
 
 let site_to_json (s : Audit.site) =
-  let idx = match s.Audit.idx with Some k -> string_of_int k | None -> "null" in
   let kind =
     match s.Audit.kind with
     | Audit.Explicit (k, w) ->
@@ -56,29 +55,39 @@ let site_to_json (s : Audit.site) =
   let fact, witness, detail =
     match s.Audit.verdict with
     | Audit.Redundant { fact; witness } ->
-        (json_str (Audit.fact_to_string fact), witness, "null")
+        (Json.Str (Audit.fact_to_string fact), witness, Json.Null)
     | Audit.Necessary { reason } | Audit.Unknown { reason } ->
-        ("null", [], json_str reason)
+        (Json.Null, [], Json.Str reason)
   in
-  Printf.sprintf
-    "{\"func\":%s,\"bid\":%d,\"iid\":%d,\"idx\":%s,\"reg\":%d,\"kind\":%s,\"verdict\":%s,\"fact\":%s,\"witness\":[%s],\"detail\":%s}"
-    (json_str s.Audit.fname) s.Audit.bid s.Audit.iid idx s.Audit.reg
-    (json_str kind)
-    (json_str (verdict_tag s.Audit.verdict))
-    fact
-    (String.concat ","
-       (List.map (fun (b, i) -> Printf.sprintf "{\"bid\":%d,\"iid\":%d}" b i) witness))
-    detail
+  Json.Obj
+    [
+      ("func", Json.Str s.Audit.fname);
+      ("bid", Json.of_int s.Audit.bid);
+      ("iid", Json.of_int s.Audit.iid);
+      ("idx", Option.fold ~none:Json.Null ~some:Json.of_int s.Audit.idx);
+      ("reg", Json.of_int s.Audit.reg);
+      ("kind", Json.Str kind);
+      ("verdict", Json.Str (verdict_tag s.Audit.verdict));
+      ("fact", fact);
+      ( "witness",
+        Json.Arr
+          (List.map
+             (fun (b, i) -> Json.Obj [ ("bid", Json.of_int b); ("iid", Json.of_int i) ])
+             witness) );
+      ("detail", detail);
+    ]
 
 let cell_to_json (c : cell) =
   let n = counts c.sites in
-  Printf.sprintf
-    "{\"input\":%s,\"variant\":%s,\"redundant\":%d,\"necessary\":%d,\"unknown\":%d,\"sites\":[%s]}"
-    (json_str c.input) (json_str c.variant) n.redundant n.necessary n.unknown
-    (String.concat "," (List.map site_to_json c.sites))
-
-let cells_to_json (cs : cell list) =
-  "[" ^ String.concat "," (List.map cell_to_json cs) ^ "]"
+  Json.Obj
+    [
+      ("input", Json.Str c.input);
+      ("variant", Json.Str c.variant);
+      ("redundant", Json.of_int n.redundant);
+      ("necessary", Json.of_int n.necessary);
+      ("unknown", Json.of_int n.unknown);
+      ("sites", Json.Arr (List.map site_to_json c.sites));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SARIF                                                               *)
@@ -103,36 +112,61 @@ let sarif_rule_of_verdict = function
   | Audit.Necessary _ -> ("audit-necessary-ext", "note")
   | Audit.Unknown _ -> ("audit-speculation-candidate", "note")
 
+let text t = Json.Obj [ ("text", Json.Str t) ]
+
 let sarif_result (c : cell) (s : Audit.site) =
   let rule, level = sarif_rule_of_verdict s.Audit.verdict in
   let start_col = match s.Audit.idx with Some k -> k + 2 | None -> 1 in
-  Printf.sprintf
-    "{\"ruleId\":%s,\"level\":%s,\"message\":{\"text\":%s},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s},\"region\":{\"startLine\":%d,\"startColumn\":%d}},\"logicalLocations\":[{\"fullyQualifiedName\":%s,\"kind\":\"function\"}]}],\"partialFingerprints\":{\"cell\":%s}}"
-    (json_str rule) (json_str level)
-    (json_str
-       (Printf.sprintf "[%s/%s] %s" c.input c.variant (Audit.site_to_string s)))
-    (json_str (c.input ^ ".minij"))
-    (s.Audit.bid + 1) start_col
-    (json_str s.Audit.fname)
-    (json_str (c.input ^ "/" ^ c.variant))
+  let region =
+    [ ("startLine", Json.of_int (s.Audit.bid + 1)); ("startColumn", Json.of_int start_col) ]
+  in
+  let location =
+    Json.Obj
+      [
+        ( "physicalLocation",
+          Json.Obj
+            [
+              ("artifactLocation", Json.Obj [ ("uri", Json.Str (c.input ^ ".minij")) ]);
+              ("region", Json.Obj region);
+            ] );
+        ( "logicalLocations",
+          Json.Arr
+            [
+              Json.Obj
+                [ ("fullyQualifiedName", Json.Str s.Audit.fname); ("kind", Json.Str "function") ];
+            ] );
+      ]
+  in
+  Json.Obj
+    [
+      ("ruleId", Json.Str rule);
+      ("level", Json.Str level);
+      ("message", text (Printf.sprintf "[%s/%s] %s" c.input c.variant (Audit.site_to_string s)));
+      ("locations", Json.Arr [ location ]);
+      ("partialFingerprints", Json.Obj [ ("cell", Json.Str (c.input ^ "/" ^ c.variant)) ]);
+    ]
 
 let sarif (cs : cell list) =
-  let rules =
-    String.concat ","
-      (List.map
-         (fun (id, _, help) ->
-           Printf.sprintf
-             "{\"id\":%s,\"shortDescription\":{\"text\":%s}}"
-             (json_str id) (json_str help))
-         sarif_rules)
+  let rule (id, _, help) = Json.Obj [ ("id", Json.Str id); ("shortDescription", text help) ] in
+  let driver =
+    Json.Obj
+      [
+        ("name", Json.Str "sxopt-audit");
+        ("informationUri", Json.Str "https://example.invalid/sxopt");
+        ("rules", Json.Arr (List.map rule sarif_rules));
+      ]
   in
-  let results =
-    String.concat ","
-      (List.concat_map (fun c -> List.map (sarif_result c) c.sites) cs)
-  in
-  Printf.sprintf
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"sxopt-audit\",\"informationUri\":\"https://example.invalid/sxopt\",\"rules\":[%s]}},\"results\":[%s]}]}"
-    rules results
+  let results = List.concat_map (fun c -> List.map (sarif_result c) c.sites) cs in
+  Json.to_string
+    (Json.Obj
+       [
+         ("$schema", Json.Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Json.Str "2.1.0");
+         ( "runs",
+           Json.Arr
+             [ Json.Obj [ ("tool", Json.Obj [ ("driver", driver) ]); ("results", Json.Arr results) ] ]
+         );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                            *)

@@ -13,9 +13,8 @@ val by_kind : Audit.site list -> int * int
 type cell = { input : string; variant : string; sites : Audit.site list }
 (** One audited matrix cell: an input program under one variant. *)
 
-val site_to_json : Audit.site -> string
-val cell_to_json : cell -> string
-val cells_to_json : cell list -> string
+val cell_to_json : cell -> Sxe_util.Json.t
+(** One matrix cell; [sxopt audit --json] prints the array of them. *)
 
 val sarif : cell list -> string
 (** A complete SARIF 2.1.0 log. Regions map the uniform location

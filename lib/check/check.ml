@@ -36,57 +36,40 @@ let stage_gate ?maxlen ?call_ranges ~stage (f : Sxe_ir.Cfg.func) =
 (* JSON rendering (machine-readable CLI / CI output)                   *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Sxe_util.Json
 
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_loc ~bid ~iid =
-  let iid = match iid with Some i -> string_of_int i | None -> "null" in
-  Printf.sprintf "\"bid\":%d,\"iid\":%s" bid iid
+let loc ~bid ~iid =
+  [ ("bid", Json.of_int bid); ("iid", Option.fold ~none:Json.Null ~some:Json.of_int iid) ]
 
 let error_to_json (e : Certify.error) =
-  Printf.sprintf
-    "{\"func\":%s,%s,\"reg\":%d,\"need\":%s,\"state\":%s,\"witness\":[%s],\"message\":%s}"
-    (json_str e.Certify.fname)
-    (json_loc ~bid:e.Certify.bid ~iid:e.Certify.iid)
-    e.Certify.reg
-    (json_str
-       (match e.Certify.need with
-       | Certify.Needs_extended -> "extended"
-       | Certify.Needs_zero_extended -> "zero-extended"
-       | Certify.Needs_subscript -> "subscript"))
-    (json_str (Extstate.describe e.Certify.state))
-    (String.concat ","
-       (List.map
-          (fun (b, i) -> Printf.sprintf "{\"bid\":%d,\"iid\":%d}" b i)
-          e.Certify.witness))
-    (json_str (Certify.error_to_string e))
+  Json.Obj
+    ((("func", Json.Str e.Certify.fname) :: loc ~bid:e.Certify.bid ~iid:e.Certify.iid)
+    @ [
+        ("reg", Json.of_int e.Certify.reg);
+        ( "need",
+          Json.Str
+            (match e.Certify.need with
+            | Certify.Needs_extended -> "extended"
+            | Certify.Needs_zero_extended -> "zero-extended"
+            | Certify.Needs_subscript -> "subscript") );
+        ("state", Json.Str (Extstate.describe e.Certify.state));
+        ( "witness",
+          Json.Arr
+            (List.map (fun (bid, iid) -> Json.Obj (loc ~bid ~iid:(Some iid))) e.Certify.witness) );
+        ("message", Json.Str (Certify.error_to_string e));
+      ])
 
-let errors_to_json errs =
-  "[" ^ String.concat "," (List.map error_to_json errs) ^ "]"
+let errors_to_json errs = Json.to_string (Json.Arr (List.map error_to_json errs))
 
 let finding_to_json (fi : Lint.finding) =
-  let idx = match fi.Lint.idx with Some k -> string_of_int k | None -> "null" in
-  Printf.sprintf "{\"rule\":%s,\"severity\":%s,\"func\":%s,%s,\"idx\":%s,\"message\":%s}"
-    (json_str fi.Lint.rule)
-    (json_str (Lint.severity_to_string fi.Lint.severity))
-    (json_str fi.Lint.fname)
-    (json_loc ~bid:fi.Lint.bid ~iid:fi.Lint.iid)
-    idx
-    (json_str fi.Lint.message)
-
-let findings_to_json fs =
-  "[" ^ String.concat "," (List.map finding_to_json fs) ^ "]"
+  Json.Obj
+    ([
+       ("rule", Json.Str fi.Lint.rule);
+       ("severity", Json.Str (Lint.severity_to_string fi.Lint.severity));
+       ("func", Json.Str fi.Lint.fname);
+     ]
+    @ loc ~bid:fi.Lint.bid ~iid:fi.Lint.iid
+    @ [
+        ("idx", Option.fold ~none:Json.Null ~some:Json.of_int fi.Lint.idx);
+        ("message", Json.Str fi.Lint.message);
+      ])

@@ -35,12 +35,8 @@ val stage_gate :
     Pass the [call_ranges] the optimizer ran with, or the gate may
     reject sound eliminations that used interprocedural ranges. *)
 
-val json_escape : string -> string
-val json_str : string -> string
-(** JSON string quoting, shared with the other machine-readable
-    renderers (the audit reports reuse it). *)
-
-val error_to_json : Certify.error -> string
+val error_to_json : Certify.error -> Sxe_util.Json.t
 val errors_to_json : Certify.error list -> string
-val finding_to_json : Lint.finding -> string
-val findings_to_json : Lint.finding list -> string
+(** The compact rendering of the errors as a JSON array. *)
+
+val finding_to_json : Lint.finding -> Sxe_util.Json.t

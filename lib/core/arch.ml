@@ -28,7 +28,4 @@ let ppc64 =
     load_ext = (fun w -> match w with W16 | W32 -> LSign | _ -> LZero);
   }
 
-let by_name = function
-  | "ia64" | "IA64" -> ia64
-  | "ppc64" | "PPC64" -> ppc64
-  | s -> invalid_arg ("Arch.by_name: unknown architecture " ^ s)
+let names = [ ("ia64", ia64); ("ppc64", ppc64) ]

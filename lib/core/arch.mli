@@ -11,6 +11,5 @@ type t = {
 val ia64 : t
 val ppc64 : t
 
-val by_name : string -> t
-(** ["ia64"] or ["ppc64"] (case-insensitive); raises [Invalid_argument]
-    otherwise. *)
+val names : (string * t) list
+(** The CLI/request name of each model: ["ia64"], ["ppc64"]. *)

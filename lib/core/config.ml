@@ -1,7 +1,8 @@
 (** Optimizer configuration: one value per variant measured in Tables 1-2.
 
-    The flags mirror the paper's breakdown rows exactly; {!Variants.all}
-    enumerates the eleven measured configurations. *)
+    The flags mirror the paper's breakdown rows exactly; {!variants}
+    enumerates the twelve measured configurations and {!all} builds them
+    in the tables' row order. *)
 
 type conversion = Gen_def | Gen_use
 type elimination = Elim_none | Elim_bwd_flow | Elim_ud_du
@@ -75,6 +76,49 @@ let all_pde ?arch ?maxlen () =
 let new_all ?arch ?maxlen () =
   ud_du ?arch ?maxlen ~name:"new algorithm (all)" ~insertion:Ins_simple ~order:true
     ~array:true ()
+
+(** Tags of the twelve variants measured in Tables 1-2. *)
+type variant =
+  [ `Baseline
+  | `Gen_use
+  | `First
+  | `Basic
+  | `Insert
+  | `Order
+  | `Insert_order
+  | `Array
+  | `Array_insert
+  | `Array_order
+  | `All_pde
+  | `All ]
+
+(** The twelve variants in the tables' row order: CLI/request name, tag
+    and constructor (whose [name] is the paper's row label). The only
+    enumeration of the set. *)
+let variants : (string * variant * (?arch:Arch.t -> ?maxlen:int64 -> unit -> t)) list =
+  [
+    ("baseline", `Baseline, baseline);
+    ("gen-use", `Gen_use, gen_use);
+    ("first", `First, first_algorithm);
+    ("basic", `Basic, basic_ud_du);
+    ("insert", `Insert, insert);
+    ("order", `Order, order);
+    ("insert-order", `Insert_order, insert_order);
+    ("array", `Array, array);
+    ("array-insert", `Array_insert, array_insert);
+    ("array-order", `Array_order, array_order);
+    ("all-pde", `All_pde, all_pde);
+    ("all", `All, new_all);
+  ]
+
+let variant_names = List.map (fun (n, v, _) -> (n, v)) variants
+let variant_of_name n = List.assoc_opt n variant_names
+
+let of_variant ?arch ?maxlen (v : variant) =
+  let _, _, make = List.find (fun (_, v', _) -> v' = v) variants in
+  make ?arch ?maxlen ()
+
+let all ?arch ?maxlen () = List.map (fun (_, _, make) -> make ?arch ?maxlen ()) variants
 
 (** extension beyond the paper: the full algorithm preceded by method
     inlining, which deletes ABI-boundary extensions outright *)

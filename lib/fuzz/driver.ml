@@ -127,7 +127,7 @@ let shrink_failure (o : options) (case : Oracle.case) (failures : Oracle.failure
         || (* cost failures need both endpoints present *)
         witness.cls = Oracle.Cost
            && c.Sxe_core.Config.name = (Sxe_core.Config.baseline ()).Sxe_core.Config.name)
-      (Oracle.all_variants ~arch ())
+      (Sxe_core.Config.all ~arch ())
   in
   (* Shrink with just enough fuel for the original failure: candidate
      moves that create infinite loops would otherwise burn the full fuel

@@ -58,23 +58,6 @@ let pp_failure ppf (f : failure) =
 
 let default_fuel = 400_000L
 
-(** The twelve measured variants of Tables 1-2 for one architecture. *)
-let all_variants ?arch ?maxlen () : Sxe_core.Config.t list =
-  [
-    Sxe_core.Config.baseline ?arch ?maxlen ();
-    Sxe_core.Config.gen_use ?arch ?maxlen ();
-    Sxe_core.Config.first_algorithm ?arch ?maxlen ();
-    Sxe_core.Config.basic_ud_du ?arch ?maxlen ();
-    Sxe_core.Config.insert ?arch ?maxlen ();
-    Sxe_core.Config.order ?arch ?maxlen ();
-    Sxe_core.Config.insert_order ?arch ?maxlen ();
-    Sxe_core.Config.array ?arch ?maxlen ();
-    Sxe_core.Config.array_insert ?arch ?maxlen ();
-    Sxe_core.Config.array_order ?arch ?maxlen ();
-    Sxe_core.Config.all_pde ?arch ?maxlen ();
-    Sxe_core.Config.new_all ?arch ?maxlen ();
-  ]
-
 (** Raw 32-bit-form IR of a case (shared, do not mutate: clone first). *)
 let prog_of_case = function
   | Minij src -> Sxe_lang.Frontend.compile src
@@ -279,7 +262,7 @@ let run_variant ?(fuel = default_fuel) ?sabotage ~ref_ (config : Sxe_core.Config
     arbitrary hand-built CFGs, where the insertion heuristics can
     occasionally place an extension on a hotter edge. *)
 let check ?(fuel = default_fuel) ?(archs = [ Sxe_core.Arch.ia64 ])
-    ?(variants = fun arch -> all_variants ~arch ()) ?sabotage ?check_cost (case : case)
+    ?(variants = fun arch -> Sxe_core.Config.all ~arch ()) ?sabotage ?check_cost (case : case)
     : failure list =
   let check_cost =
     match check_cost with

@@ -31,21 +31,8 @@ type measurement = {
   stats : Sxe_core.Stats.t;
 }
 
-let default_variants ?arch ?maxlen () : Sxe_core.Config.t list =
-  [
-    Sxe_core.Config.baseline ?arch ?maxlen ();
-    Sxe_core.Config.gen_use ?arch ?maxlen ();
-    Sxe_core.Config.first_algorithm ?arch ?maxlen ();
-    Sxe_core.Config.basic_ud_du ?arch ?maxlen ();
-    Sxe_core.Config.insert ?arch ?maxlen ();
-    Sxe_core.Config.order ?arch ?maxlen ();
-    Sxe_core.Config.insert_order ?arch ?maxlen ();
-    Sxe_core.Config.array ?arch ?maxlen ();
-    Sxe_core.Config.array_insert ?arch ?maxlen ();
-    Sxe_core.Config.array_order ?arch ?maxlen ();
-    Sxe_core.Config.all_pde ?arch ?maxlen ();
-    Sxe_core.Config.new_all ?arch ?maxlen ();
-  ]
+(* sxbench/ compiles against this name. *)
+let default_variants = Sxe_core.Config.all
 
 let fuel = 4_000_000_000L
 
@@ -136,7 +123,7 @@ let run_workload ?(use_profile = true) ?arch ?maxlen (w : Sxe_workloads.Registry
     measurement list =
   List.map
     (fun config -> run_cell ~use_profile ?arch config w)
-    (default_variants ?arch ?maxlen ())
+    (Sxe_core.Config.all ?arch ?maxlen ())
 
 (** The whole matrix for a suite: [(workload, measurements per variant)].
     Work is scheduled as (workload x variant) cells, chunked by the pool,
@@ -144,7 +131,7 @@ let run_workload ?(use_profile = true) ?arch ?maxlen (w : Sxe_workloads.Registry
     the largest one. Base programs are frozen before fan-out; reference
     outcomes and branch profiles are per-domain-cached. The matrix comes
     back in registry order regardless of [jobs]. *)
-let run_suite ?(scale = 1) ?(use_profile = true) ?arch ?(jobs = 1) ?chunk ?stats
+let run_suite ?(scale = 1) ?(use_profile = true) ?arch ?(jobs = 1) ?stats
     (suite : Sxe_workloads.Registry.suite) =
   let ws =
     List.filter
@@ -155,13 +142,13 @@ let run_suite ?(scale = 1) ?(use_profile = true) ?arch ?(jobs = 1) ?chunk ?stats
      out: workers then clone shared immutable programs without racing on
      the body-append flush (and without each re-running the frontend). *)
   let bases = List.map (fun w -> (w, base_of w)) ws in
-  let variants = default_variants ?arch () in
+  let variants = Sxe_core.Config.all ?arch () in
   let nv = List.length variants in
   let cells =
     List.concat_map (fun (w, b) -> List.map (fun c -> (w, b, c)) variants) bases
   in
   let ms =
-    Sxe_par.Pool.with_pool ?chunk ~jobs (fun pool ->
+    Sxe_par.Pool.with_pool ~jobs (fun pool ->
         let ms =
           Sxe_par.Pool.map pool
             (fun (w, base, config) -> run_cell ~use_profile ?arch ~base config w)

@@ -18,7 +18,7 @@ type measurement = {
 
 val default_variants :
   ?arch:Sxe_core.Arch.t -> ?maxlen:int64 -> unit -> Sxe_core.Config.t list
-(** The twelve measured configurations, in the tables' row order. *)
+(** {!Sxe_core.Config.all}, kept under this name for sxbench/. *)
 
 val base_of : Sxe_workloads.Registry.t -> Sxe_ir.Prog.t
 (** The freshly-lowered, frozen base program for a workload, memoized per
@@ -61,15 +61,13 @@ val run_suite :
   ?use_profile:bool ->
   ?arch:Sxe_core.Arch.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?stats:(Sxe_par.Pool.stats -> unit) ->
   Sxe_workloads.Registry.suite ->
   (string * measurement list) list
 (** [jobs] (default 1) spreads (workload x variant) cells over that many
-    domains in pool-sized chunks ([chunk] overrides the size); the
-    result is identical to a sequential run, in registry order. [stats]
-    receives the pool's scheduling counters just before the pool is torn
-    down. *)
+    domains in pool-sized chunks; the result is identical to a
+    sequential run, in registry order. [stats] receives the pool's
+    scheduling counters just before the pool is torn down. *)
 
 type breakdown = {
   bench : string;

@@ -3,38 +3,27 @@
     per-worker GC tuning. See the interface for the contract. *)
 
 (* ------------------------------------------------------------------ *)
-(* Environment knobs                                                    *)
+(* Environment knob                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let env_var = "SXE_JOBS"
-let chunk_env_var = "SXE_CHUNK"
-let minor_env_var = "SXE_MINOR"
-let oversubscribe_env_var = "SXE_OVERSUBSCRIBE"
 
-let env_posint ?(min = 1) name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
+let default_jobs () =
+  match Sys.getenv_opt env_var with
+  | None | Some "" -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= min -> Some n
+      | Some n when n >= 1 -> n
       | _ ->
           invalid_arg
-            (Printf.sprintf "%s=%S: expected an integer >= %d" name s min))
-
-let default_jobs () = Option.value (env_posint env_var) ~default:1
+            (Printf.sprintf "%s=%S: expected an integer >= 1" env_var s))
 
 (* Per-worker minor heap, in words. The runtime default (256k words) is
    sized for one domain; with several allocation-heavy domains every
    arena fill is a stop-the-world handshake, and on few cores each
    handshake costs scheduling quanta. 2^20 words (8 MB) per worker cuts
-   the handshake rate ~4x on the evaluation matrix. 0 disables. *)
-let default_minor_words = 1 lsl 20
-let minor_words () = Option.value (env_posint ~min:0 minor_env_var) ~default:default_minor_words
-
-let oversubscribed () =
-  match Sys.getenv_opt oversubscribe_env_var with
-  | Some "1" -> true
-  | _ -> false
+   the handshake rate ~4x on the evaluation matrix. *)
+let minor_words = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                 *)
@@ -48,7 +37,7 @@ type task = Run of (int -> unit) | Quit
 type t = {
   jobs : int;  (** requested degree *)
   n_domains : int;  (** workers actually spawned *)
-  chunk_override : int option;  (** [?chunk] or [SXE_CHUNK] *)
+  chunk_override : int option;  (** [?chunk] *)
   queue : task Queue.t;  (** guarded by [lock] *)
   lock : Mutex.t;
   nonempty : Condition.t;
@@ -74,13 +63,12 @@ let auto_chunk ~domains ~n =
   let d = max 1 domains in
   max 1 (min 64 (n / (8 * d)))
 
-let worker_loop p ~wid ~minor =
+let worker_loop p ~wid =
   (* Retune this domain's minor heap before touching any work: GC
      parameters of a fresh domain are the single-domain defaults. *)
-  (if minor > 0 then
-     let g = Gc.get () in
-     if g.Gc.minor_heap_size < minor then
-       Gc.set { g with Gc.minor_heap_size = minor });
+  (let g = Gc.get () in
+   if g.Gc.minor_heap_size < minor_words then
+     Gc.set { g with Gc.minor_heap_size = minor_words });
   let rec take () =
     (* [p.lock] held *)
     match Queue.take_opt p.queue with
@@ -115,21 +103,17 @@ let create ?(clamp = true) ?chunk ~jobs () =
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.create: chunk must be at least 1"
   | _ -> ());
-  let chunk_override =
-    match chunk with Some _ -> chunk | None -> env_posint chunk_env_var
-  in
-  let minor = minor_words () in
   let cores = Domain.recommended_domain_count () in
   let n_domains =
     let d = min jobs max_workers in
-    let d = if clamp && not (oversubscribed ()) then min d cores else d in
+    let d = if clamp then min d cores else d in
     if d <= 1 then 0 else d
   in
   let p =
     {
       jobs;
       n_domains;
-      chunk_override;
+      chunk_override = chunk;
       queue = Queue.create ();
       lock = Mutex.create ();
       nonempty = Condition.create ();
@@ -157,7 +141,7 @@ let create ?(clamp = true) ?chunk ~jobs () =
     end;
     p.workers <-
       List.init n_domains (fun wid ->
-          Domain.spawn (fun () -> worker_loop p ~wid ~minor))
+          Domain.spawn (fun () -> worker_loop p ~wid))
   end;
   p
 

@@ -13,9 +13,9 @@
     Work is scheduled in {e chunks}: a batch of [n] items is cut into
     contiguous index ranges and each range is one queue entry, so the
     queue/mutex traffic per item is amortized by the chunk size. The chunk
-    size is, in order of precedence: the [?chunk] argument to {!create} /
-    {!with_pool}, the [SXE_CHUNK] environment variable, or an automatic
-    size derived from the batch and the worker count ({!auto_chunk}).
+    size is the [?chunk] argument to {!create} / {!with_pool} if given,
+    otherwise an automatic size derived from the batch and the worker
+    count ({!auto_chunk}).
     Chunking is invisible to callers: delivery order and exception
     semantics are those of the sequential loop.
 
@@ -30,12 +30,12 @@
     parallelism the pool takes the exact sequential path. The requested
     degree is preserved in {!jobs}, the spawned count in {!domains}, and
     output is byte-identical either way. Clamping can be disabled for
-    race-hunting tests with [~clamp:false] or [SXE_OVERSUBSCRIBE=1].
+    race-hunting tests with [~clamp:false].
 
     {2 GC tuning}
 
-    Each worker domain retunes its own minor heap at spawn
-    ([SXE_MINOR] words, default [2^20]): the defaults are sized for one
+    Each worker domain retunes its own minor heap at spawn (to [2^20]
+    words): the defaults are sized for one
     domain, and with several allocation-heavy domains the stop-the-world
     minor-collection rate becomes the scaling bottleneck. While workers
     are alive the pool also raises the (global) major-GC
@@ -72,11 +72,9 @@ val create : ?clamp:bool -> ?chunk:int -> jobs:int -> unit -> t
 (** [create ~jobs ()] makes a pool of degree [jobs] ([jobs >= 1]; [1]
     spawns no domains). The spawned worker count is additionally capped
     at a safe margin below the OCaml runtime's domain limit and — unless
-    [clamp] is [false] or [SXE_OVERSUBSCRIBE=1] — at
-    [Domain.recommended_domain_count ()]. [chunk] forces the scheduling
-    chunk size (otherwise [SXE_CHUNK], otherwise automatic). Raises
-    [Invalid_argument] on [jobs < 1], [chunk < 1], or malformed
-    [SXE_CHUNK]/[SXE_MINOR]. *)
+    [clamp] is [false] — at [Domain.recommended_domain_count ()].
+    [chunk] forces the scheduling chunk size (otherwise automatic).
+    Raises [Invalid_argument] on [jobs < 1] or [chunk < 1]. *)
 
 val jobs : t -> int
 (** The requested parallelism degree. *)
@@ -130,22 +128,10 @@ val auto_chunk : domains:int -> n:int -> int
     chunks per worker, so stragglers rebalance while queue traffic stays
     amortized. *)
 
-(** {2 Environment knobs} *)
+(** {2 Environment knob} *)
 
 val env_var : string
 (** ["SXE_JOBS"]. *)
-
-val chunk_env_var : string
-(** ["SXE_CHUNK"]: chunk-size override used when {!create} got no
-    [?chunk]. *)
-
-val minor_env_var : string
-(** ["SXE_MINOR"]: per-worker minor-heap size in words (default [2^20];
-    [0] leaves the runtime default untouched). *)
-
-val oversubscribe_env_var : string
-(** ["SXE_OVERSUBSCRIBE"]: when set to [1], {!create} skips the
-    core-count clamp, as [~clamp:false] does. *)
 
 val default_jobs : unit -> int
 (** The parallelism degree requested by the [SXE_JOBS] environment

@@ -1,5 +1,5 @@
-type t = {
-  table : (string, string) Hashtbl.t;
+type 'a t = {
+  table : (string, 'a) Hashtbl.t;
   order : string Queue.t;  (* insertion order, for FIFO eviction *)
   max_entries : int;
   mutable hits : int;

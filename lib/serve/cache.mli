@@ -12,9 +12,9 @@
     miss counters feed the [metrics] endpoint. Not thread-safe — the
     server touches it from the event-loop domain only. *)
 
-type t
+type 'a t
 
-val create : ?max_entries:int -> unit -> t
+val create : ?max_entries:int -> unit -> 'a t
 (** Default [max_entries] 4096. [max_entries <= 0] disables caching
     (every lookup misses, nothing is stored). *)
 
@@ -23,14 +23,14 @@ val key :
   source:string -> string
 (** The digest key; mixes in {!Compile_one.pipeline_rev}. *)
 
-val find : t -> string -> string option
+val find : 'a t -> string -> 'a option
 (** Lookup; counts a hit or a miss. *)
 
-val add : t -> string -> string -> unit
+val add : 'a t -> string -> 'a -> unit
 (** Insert (evicting the oldest entry when full). Re-adding an existing
     key is a no-op: the first computed payload wins, keeping concurrent
     duplicate compiles idempotent. *)
 
-val hits : t -> int
-val misses : t -> int
-val size : t -> int
+val hits : _ t -> int
+val misses : _ t -> int
+val size : _ t -> int

@@ -1,3 +1,5 @@
+module Json = Sxe_util.Json
+
 type t = { sock : Unix.file_descr; mutable residue : string; mutable closed : bool }
 
 let connect path =

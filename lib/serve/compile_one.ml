@@ -1,53 +1,6 @@
-type variant =
-  [ `Baseline
-  | `Gen_use
-  | `First
-  | `Basic
-  | `Insert
-  | `Order
-  | `Insert_order
-  | `Array
-  | `Array_insert
-  | `Array_order
-  | `All_pde
-  | `All ]
-
-let variant_names : (string * variant) list =
-  [
-    ("baseline", `Baseline);
-    ("gen-use", `Gen_use);
-    ("first", `First);
-    ("basic", `Basic);
-    ("insert", `Insert);
-    ("order", `Order);
-    ("insert-order", `Insert_order);
-    ("array", `Array);
-    ("array-insert", `Array_insert);
-    ("array-order", `Array_order);
-    ("all-pde", `All_pde);
-    ("all", `All);
-  ]
-
-let variant_of_name n = List.assoc_opt n variant_names
-
-let config_of ?arch ?maxlen : variant -> Sxe_core.Config.t = function
-  | `Baseline -> Sxe_core.Config.baseline ?arch ?maxlen ()
-  | `Gen_use -> Sxe_core.Config.gen_use ?arch ?maxlen ()
-  | `First -> Sxe_core.Config.first_algorithm ?arch ?maxlen ()
-  | `Basic -> Sxe_core.Config.basic_ud_du ?arch ?maxlen ()
-  | `Insert -> Sxe_core.Config.insert ?arch ?maxlen ()
-  | `Order -> Sxe_core.Config.order ?arch ?maxlen ()
-  | `Insert_order -> Sxe_core.Config.insert_order ?arch ?maxlen ()
-  | `Array -> Sxe_core.Config.array ?arch ?maxlen ()
-  | `Array_insert -> Sxe_core.Config.array_insert ?arch ?maxlen ()
-  | `Array_order -> Sxe_core.Config.array_order ?arch ?maxlen ()
-  | `All_pde -> Sxe_core.Config.all_pde ?arch ?maxlen ()
-  | `All -> Sxe_core.Config.new_all ?arch ?maxlen ()
-
-let arch_of_name = function
-  | "ia64" -> Some Sxe_core.Arch.ia64
-  | "ppc64" -> Some Sxe_core.Arch.ppc64
-  | _ -> None
+(* sxbench/ compiles against this name. *)
+let config_of = Sxe_core.Config.of_variant
+let arch_of_name n = List.assoc_opt n Sxe_core.Arch.names
 
 (* Bump on any pipeline change that can alter compiled output,
    certificates or emitted assembly; stale daemon caches key on it. *)

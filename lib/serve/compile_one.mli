@@ -9,30 +9,13 @@
     [sxopt certify] run of the same (source, variant, arch, maxlen)
     are the same computation, not two copies drifting apart. *)
 
-type variant =
-  [ `Baseline
-  | `Gen_use
-  | `First
-  | `Basic
-  | `Insert
-  | `Order
-  | `Insert_order
-  | `Array
-  | `Array_insert
-  | `Array_order
-  | `All_pde
-  | `All ]
-
-val variant_names : (string * variant) list
-(** CLI/request spelling of each paper variant ("baseline", "all", …). *)
-
-val variant_of_name : string -> variant option
-
 val config_of :
-  ?arch:Sxe_core.Arch.t -> ?maxlen:int64 -> variant -> Sxe_core.Config.t
+  ?arch:Sxe_core.Arch.t -> ?maxlen:int64 -> Sxe_core.Config.variant ->
+  Sxe_core.Config.t
+(** {!Sxe_core.Config.of_variant}, kept under this name for sxbench/. *)
 
 val arch_of_name : string -> Sxe_core.Arch.t option
-(** "ia64" or "ppc64". *)
+(** Look a name up in {!Sxe_core.Arch.names}. *)
 
 val pipeline_rev : string
 (** Revision tag of the whole optimize+certify+codegen pipeline, mixed

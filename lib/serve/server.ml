@@ -1,3 +1,4 @@
+module Json = Sxe_util.Json
 module Monoclock = Sxe_util.Monoclock
 
 type config = {
@@ -39,10 +40,15 @@ type work = {
   w_received : int64;
 }
 
+(* A reply minus its per-request members ("id", "cached"): whether it
+   reports success, and its remaining members rendered once, so a cache
+   hit re-sends bytes instead of re-rendering the assembly text. *)
+type payload = { ok : bool; members : string }
+
 type t = {
   config : config;
   stopping : bool Atomic.t;
-  cache : Cache.t;
+  cache : payload Cache.t;
   lat : Hist.t;
   pending : work Queue.t;
   mutable started : int64;
@@ -93,51 +99,52 @@ let requests_served t = t.requests
 let max_line = 16 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
-(* Payload construction (strings, so embedded fragments stay           *)
-(* byte-identical to the one-shot CLI)                                 *)
+(* Payload construction                                                *)
 (* ------------------------------------------------------------------ *)
+
+let payload ok members =
+  let s = Json.to_string (Json.Obj (("ok", Json.Bool ok) :: members)) in
+  { ok; members = String.sub s 1 (String.length s - 2) }
 
 (* Times are excluded: the verdict for a given (source, variant, arch,
    maxlen, emit) must be byte-stable across runs, machines and cache
    hits. *)
 let stats_json (s : Sxe_core.Stats.t) =
-  Printf.sprintf
-    "{\"generated\":%d,\"generated_zext\":%d,\"inserted\":%d,\"dummies\":%d,\
-     \"eliminated\":%d,\"eliminated_zext\":%d,\"eliminated_by_pre\":%d,\
-     \"remaining\":%d,\"remaining_zext\":%d,\"theorems\":[%d,%d,%d,%d]}"
-    s.Sxe_core.Stats.generated s.Sxe_core.Stats.generated_zext
-    s.Sxe_core.Stats.inserted s.Sxe_core.Stats.dummies
-    s.Sxe_core.Stats.eliminated s.Sxe_core.Stats.eliminated_zext
-    s.Sxe_core.Stats.eliminated_by_pre s.Sxe_core.Stats.remaining
-    s.Sxe_core.Stats.remaining_zext
-    s.Sxe_core.Stats.by_theorem.(1)
-    s.Sxe_core.Stats.by_theorem.(2)
-    s.Sxe_core.Stats.by_theorem.(3)
-    s.Sxe_core.Stats.by_theorem.(4)
+  let open Sxe_core.Stats in
+  Json.Obj
+    (List.map
+       (fun (k, v) -> (k, Json.of_int v))
+       [
+         ("generated", s.generated);
+         ("generated_zext", s.generated_zext);
+         ("inserted", s.inserted);
+         ("dummies", s.dummies);
+         ("eliminated", s.eliminated);
+         ("eliminated_zext", s.eliminated_zext);
+         ("eliminated_by_pre", s.eliminated_by_pre);
+         ("remaining", s.remaining);
+         ("remaining_zext", s.remaining_zext);
+       ]
+    @ [ ("theorems", Json.Arr (List.map (fun i -> Json.of_int s.by_theorem.(i)) [ 1; 2; 3; 4 ])) ])
 
 let ok_payload ~arch_name (o : Compile_one.outcome) =
-  Printf.sprintf
-    "\"ok\":true,\"variant\":\"%s\",\"arch\":\"%s\",\"certified\":%b,\
-     \"errors\":%s,\"stats\":%s,\"asm\":%s"
-    (Json.escape o.Compile_one.config.Sxe_core.Config.name)
-    (Json.escape arch_name)
-    (o.Compile_one.errors = [])
-    (Sxe_check.Check.errors_to_json o.Compile_one.errors)
-    (stats_json o.Compile_one.stats)
-    (match o.Compile_one.asm with
-    | None -> "null"
-    | Some a -> "\"" ^ Json.escape a ^ "\"")
+  payload true
+    [
+      ("variant", Json.Str o.Compile_one.config.Sxe_core.Config.name);
+      ("arch", Json.Str arch_name);
+      ("certified", Json.Bool (o.Compile_one.errors = []));
+      ("errors", Json.Arr (List.map Sxe_check.Check.error_to_json o.Compile_one.errors));
+      ("stats", stats_json o.Compile_one.stats);
+      ("asm", Option.fold ~none:Json.Null ~some:(fun a -> Json.Str a) o.Compile_one.asm);
+    ]
 
 let err_payload ~category ~detail =
-  Printf.sprintf "\"ok\":false,\"error\":\"%s\",\"detail\":\"%s\""
-    (Json.escape category) (Json.escape detail)
-
-let payload_is_ok p = String.length p >= 9 && String.sub p 0 9 = "\"ok\":true"
+  payload false [ ("error", Json.Str category); ("detail", Json.Str detail) ]
 
 (* Runs on a pool worker. Returns (payload, cacheable): deterministic
    outcomes (verdicts and frontend errors) cache; internal crashes do
    not, so a transient failure is retried rather than pinned. *)
-let compute_payload (w : work) : string * bool =
+let compute_payload (w : work) : payload * bool =
   match
     Compile_one.run_source ~emit:w.w_emit ~config:w.w_config ~maxlen:w.w_maxlen
       w.w_source
@@ -176,7 +183,7 @@ let send t (c : conn) ?cached ~id payload =
         Buffer.add_string b (string_of_bool v);
         Buffer.add_char b ','
     | None -> ());
-    Buffer.add_string b payload;
+    Buffer.add_string b payload.members;
     Buffer.add_string b "}\n"
   end;
   ignore t
@@ -209,31 +216,54 @@ let flushed (c : conn) = Buffer.length c.wbuf <= c.woff
 (* ------------------------------------------------------------------ *)
 
 let count_outcome t payload =
-  if payload_is_ok payload then t.ok_count <- t.ok_count + 1
+  if payload.ok then t.ok_count <- t.ok_count + 1
   else t.err_count <- t.err_count + 1
 
 let record_latency t received =
   Hist.add t.lat (Monoclock.elapsed_s received)
 
 let metrics_payload t =
-  let p50 = Hist.quantile t.lat 0.50 and p99 = Hist.quantile t.lat 0.99 in
-  Printf.sprintf
-    "\"ok\":true,\"metrics\":{\"uptime_s\":%.3f,\"requests\":%d,\
-     \"compile_requests\":%d,\"compiles\":%d,\"ok\":%d,\"errors\":%d,\
-     \"overloaded\":%d,\"timeouts\":%d,\"coalesced\":%d,\"batches\":%d,\
-     \"max_batch\":%d,\"queue_depth\":%d,\"max_queue_depth\":%d,\
-     \"connections\":%d,\"total_connections\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"size\":%d},\
-     \"latency\":{\"count\":%d,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\
-     \"mean_ms\":%.4f,\"max_ms\":%.4f},\"jobs\":%d,\"pipeline_rev\":\"%s\"}"
-    (Monoclock.elapsed_s t.started)
-    t.requests t.compile_requests t.compiles t.ok_count t.err_count
-    t.overloaded t.timeouts t.coalesced t.batches t.max_batch
-    (Queue.length t.pending) t.max_queue t.live_conns t.total_conns
-    (Cache.hits t.cache) (Cache.misses t.cache) (Cache.size t.cache)
-    (Hist.count t.lat) (p50 *. 1e3) (p99 *. 1e3) (Hist.mean_s t.lat *. 1e3)
-    (Hist.max_s t.lat *. 1e3)
-    t.config.jobs Compile_one.pipeline_rev
+  let int n = Json.of_int n and ms s = Json.Float (s *. 1e3) in
+  payload true
+    [
+      ( "metrics",
+        Json.Obj
+          [
+            ("uptime_s", Json.Float (Monoclock.elapsed_s t.started));
+            ("requests", int t.requests);
+            ("compile_requests", int t.compile_requests);
+            ("compiles", int t.compiles);
+            ("ok", int t.ok_count);
+            ("errors", int t.err_count);
+            ("overloaded", int t.overloaded);
+            ("timeouts", int t.timeouts);
+            ("coalesced", int t.coalesced);
+            ("batches", int t.batches);
+            ("max_batch", int t.max_batch);
+            ("queue_depth", int (Queue.length t.pending));
+            ("max_queue_depth", int t.max_queue);
+            ("connections", int t.live_conns);
+            ("total_connections", int t.total_conns);
+            ( "cache",
+              Json.Obj
+                [
+                  ("hits", int (Cache.hits t.cache));
+                  ("misses", int (Cache.misses t.cache));
+                  ("size", int (Cache.size t.cache));
+                ] );
+            ( "latency",
+              Json.Obj
+                [
+                  ("count", int (Hist.count t.lat));
+                  ("p50_ms", ms (Hist.quantile t.lat 0.50));
+                  ("p99_ms", ms (Hist.quantile t.lat 0.99));
+                  ("mean_ms", ms (Hist.mean_s t.lat));
+                  ("max_ms", ms (Hist.max_s t.lat));
+                ] );
+            ("jobs", int t.config.jobs);
+            ("pipeline_rev", Json.Str Compile_one.pipeline_rev);
+          ] );
+    ]
 
 let handle_compile t (c : conn) ~id (j : Json.t) =
   t.compile_requests <- t.compile_requests + 1;
@@ -255,7 +285,7 @@ let handle_compile t (c : conn) ~id (j : Json.t) =
       | None, _ -> bad "non-string \"variant\""
       | _, None -> bad "non-string \"arch\""
       | Some vname, Some aname -> (
-      match (Compile_one.variant_of_name vname, Compile_one.arch_of_name aname)
+      match (Sxe_core.Config.variant_of_name vname, Compile_one.arch_of_name aname)
       with
       | None, _ -> bad (Printf.sprintf "unknown variant %S" vname)
       | _, None -> bad (Printf.sprintf "unknown arch %S" aname)
@@ -292,7 +322,7 @@ let handle_compile t (c : conn) ~id (j : Json.t) =
                         w_conn = c;
                         w_id = id;
                         w_key = key;
-                        w_config = Compile_one.config_of ~arch ~maxlen variant;
+                        w_config = Sxe_core.Config.of_variant ~arch ~maxlen variant;
                         w_arch_name = aname;
                         w_maxlen = maxlen;
                         w_emit = emit;
@@ -315,14 +345,14 @@ let handle_line_exn t (c : conn) (line : string) =
             (err_payload ~category:"bad_request" ~detail:"missing \"op\"")
       | Some "ping" ->
           t.ok_count <- t.ok_count + 1;
-          send t c ~id "\"ok\":true,\"pong\":true"
+          send t c ~id (payload true [ ("pong", Json.Bool true) ])
       | Some "metrics" ->
           t.ok_count <- t.ok_count + 1;
           send t c ~id (metrics_payload t)
       | Some "shutdown" ->
           t.ok_count <- t.ok_count + 1;
           Atomic.set t.stopping true;
-          send t c ~id "\"ok\":true,\"stopping\":true"
+          send t c ~id (payload true [ ("stopping", Json.Bool true) ])
       | Some "compile" -> handle_compile t c ~id j
       | Some op ->
           t.err_count <- t.err_count + 1;

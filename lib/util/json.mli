@@ -1,17 +1,13 @@
-(** Minimal JSON reader/writer for the daemon protocol.
-
-    The tree deliberately carries no external dependency: requests are
-    small, flat objects, and responses are assembled mostly by string
-    concatenation so that embedded fragments (the certifier's
-    [errors_to_json] output) stay byte-identical to the one-shot CLI.
-    This module is the {e reading} half — the server parses request
-    lines with it, the load generator parses response lines — plus a
-    plain emitter for the places that do build values.
+(** The repository's one JSON codec: the daemon protocol, the
+    certify/lint/audit reports, SARIF and the bench artifacts are all
+    built as {!t} values and rendered by {!to_string}, so every writer
+    escapes strings the same way. No external dependency.
 
     Integers are kept exact in [int64]; a number with a fraction or
     exponent parses as [Float]. Strings must be valid JSON strings
     (escape sequences and [\uXXXX] are decoded; surrogate pairs are
-    recombined to UTF-8). *)
+    recombined to UTF-8). Strings are emitted as their bytes, so UTF-8
+    text stays UTF-8. *)
 
 type t =
   | Null
@@ -38,6 +34,9 @@ val to_string : t -> string
 
 val escape : string -> string
 (** JSON string-body escaping (no surrounding quotes). *)
+
+val of_int : int -> t
+(** [Int] of a native integer. *)
 
 (** {2 Object accessors} — all total; [None]/default on absent member
     or wrong type. *)

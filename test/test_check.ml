@@ -41,7 +41,7 @@ let test_workloads_certify () =
           | e :: _ ->
               Alcotest.failf "%s / %s: %s" w.name cfg.Sxe_core.Config.name
                 (Certify.error_to_string e))
-        (Helpers.all_variants ()))
+        (Sxe_core.Config.all ()))
     ws
 
 let test_corpus_certifies () =
@@ -59,7 +59,7 @@ let test_corpus_certifies () =
           | e :: _ ->
               Alcotest.failf "%s / %s: %s" name cfg.Sxe_core.Config.name
                 (Certify.error_to_string e))
-        (Helpers.all_variants ()))
+        (Sxe_core.Config.all ()))
     entries
 
 (** The refinement rule is load-bearing: in [while (i < n) a[i] = i;]

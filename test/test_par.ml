@@ -5,19 +5,12 @@
 
 open Sxe_par
 
-(* Race coverage beats wall clock here: force the requested domain
-   counts even on machines with fewer cores, where Pool.create would
-   otherwise (correctly) clamp to the sequential path. The scaling smoke
-   test below is the one place that wants the clamp's honest behavior,
-   and it skips itself on such machines anyway. *)
-let () = Unix.putenv Pool.oversubscribe_env_var "1"
-
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_map_ordered () =
-  Pool.with_pool ~jobs:4 (fun p ->
+  Pool.with_pool ~clamp:false ~jobs:4 (fun p ->
       let xs = List.init 100 Fun.id in
       Alcotest.(check (list int))
         "results in input order"
@@ -25,7 +18,7 @@ let test_map_ordered () =
         (Pool.map p (fun x -> x * x) xs))
 
 let test_map_empty_and_reuse () =
-  Pool.with_pool ~jobs:3 (fun p ->
+  Pool.with_pool ~clamp:false ~jobs:3 (fun p ->
       Alcotest.(check (list int)) "empty input" [] (Pool.map p Fun.id []);
       (* the same pool serves several batches *)
       for k = 1 to 5 do
@@ -38,7 +31,7 @@ let test_map_empty_and_reuse () =
 exception Boom of int
 
 let test_exception_propagation () =
-  Pool.with_pool ~jobs:4 (fun p ->
+  Pool.with_pool ~clamp:false ~jobs:4 (fun p ->
       (match Pool.map p (fun x -> if x = 3 then raise (Boom x) else x) (List.init 8 Fun.id) with
       | _ -> Alcotest.fail "expected Boom to propagate"
       | exception Boom 3 -> ());
@@ -55,7 +48,7 @@ let test_exception_propagation () =
         (Pool.map p Fun.id [ 0; 1; 2 ]))
 
 let test_consume_in_order () =
-  Pool.with_pool ~jobs:4 (fun p ->
+  Pool.with_pool ~clamp:false ~jobs:4 (fun p ->
       let seen = ref [] in
       Pool.consume_map p Fun.id
         ~consume:(fun i v -> seen := (i, v) :: !seen)
@@ -107,7 +100,10 @@ let test_chunked_order () =
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "consume ordered at chunk %d" chunk)
             (List.map (fun i -> (i, i)) xs)
-            (List.rev !seen)))
+            (List.rev !seen);
+          Alcotest.(check int)
+            (Printf.sprintf "?chunk %d honored" chunk)
+            chunk (Pool.stats p).Pool.chunk))
     [ 1; 4; 5; 23; 100 ]
 
 let test_stats_counters () =
@@ -131,24 +127,13 @@ let test_stats_counters () =
       Alcotest.(check int) "cumulative chunks" 7
         (Array.fold_left ( + ) 0 s2.Pool.chunks))
 
-let test_chunk_env () =
-  Unix.putenv Pool.chunk_env_var "9";
-  Pool.with_pool ~clamp:false ~jobs:2 (fun p ->
-      ignore (Pool.map p Fun.id (List.init 20 Fun.id));
-      Alcotest.(check int) "SXE_CHUNK=9 honored" 9 (Pool.stats p).Pool.chunk);
-  Unix.putenv Pool.chunk_env_var "junk";
-  (match Pool.create ~clamp:false ~jobs:2 () with
-  | p ->
-      Pool.shutdown p;
-      Alcotest.fail "expected Invalid_argument on SXE_CHUNK=junk"
-  | exception Invalid_argument _ -> ());
-  Unix.putenv Pool.chunk_env_var "";
-  (* explicit ?chunk wins over the environment *)
-  Unix.putenv Pool.chunk_env_var "3";
-  Pool.with_pool ~clamp:false ~chunk:11 ~jobs:2 (fun p ->
-      ignore (Pool.map p Fun.id (List.init 30 Fun.id));
-      Alcotest.(check int) "?chunk beats SXE_CHUNK" 11 (Pool.stats p).Pool.chunk);
-  Unix.putenv Pool.chunk_env_var ""
+let test_clamp () =
+  (* by default the spawned width is capped at the core count (a width
+     of 1 is the sequential path); the requested degree is kept *)
+  let cores = Domain.recommended_domain_count () in
+  Pool.with_pool ~jobs:(cores + 1) (fun p ->
+      Alcotest.(check int) "requested degree" (cores + 1) (Pool.jobs p);
+      Alcotest.(check int) "spawned" (if cores <= 1 then 0 else cores) (Pool.domains p))
 
 let test_bounded_resequencer () =
   (* fast producers + slow consumer: workers must throttle instead of
@@ -252,26 +237,22 @@ let test_scaling_smoke () =
   if Domain.recommended_domain_count () < 4 then
     Alcotest.skip () (* no parallel hardware: nothing to measure *)
   else begin
-    (* the clamp must not bite here (cores >= 4), and the pool defaults
+    (* the clamp does not bite here (cores >= 4), and the pool defaults
        (chunking, GC tuning) are exactly what is under test *)
-    Unix.putenv Pool.oversubscribe_env_var "";
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv Pool.oversubscribe_env_var "1")
-      (fun () ->
-        let tasks = List.init 64 (fun i -> 400_000 + (i mod 7)) in
-        let wall jobs =
-          Pool.with_pool ~jobs (fun p ->
-              let t0 = Unix.gettimeofday () in
-              ignore (Pool.map p spin tasks);
-              Unix.gettimeofday () -. t0)
-        in
-        ignore (wall 4) (* warm up: domain spawn, page faults *);
-        let w1 = wall 1 and w4 = wall 4 in
-        let speedup = w1 /. w4 in
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=4 beats jobs=1 by >= 1.5x (got %.2fx: %.3fs vs %.3fs)"
-             speedup w1 w4)
-          true (speedup >= 1.5))
+    let tasks = List.init 64 (fun i -> 400_000 + (i mod 7)) in
+    let wall jobs =
+      Pool.with_pool ~jobs (fun p ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Pool.map p spin tasks);
+          Unix.gettimeofday () -. t0)
+    in
+    ignore (wall 4) (* warm up: domain spawn, page faults *);
+    let w1 = wall 1 and w4 = wall 4 in
+    let speedup = w1 /. w4 in
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=4 beats jobs=1 by >= 1.5x (got %.2fx: %.3fs vs %.3fs)"
+         speedup w1 w4)
+      true (speedup >= 1.5)
   end
 
 let test_default_jobs_env () =
@@ -360,13 +341,13 @@ let certify_table ~jobs () =
            (w.name, Sxe_lang.Frontend.compile w.source))
   in
   List.iter (fun (_, p) -> Sxe_ir.Clone.freeze_prog p) inputs;
-  let configs = Oracle.all_variants () in
+  let configs = Sxe_core.Config.all () in
   let cells =
     List.concat_map
       (fun (name, base) -> List.map (fun c -> (name, base, c)) configs)
       inputs
   in
-  Pool.with_pool ~jobs (fun p ->
+  Pool.with_pool ~clamp:false ~jobs (fun p ->
       Pool.map p
         (fun (name, base, (config : Sxe_core.Config.t)) ->
           let q = Sxe_ir.Clone.clone_prog base in
@@ -396,7 +377,7 @@ let suite =
     Alcotest.test_case "pool: auto chunk sizing" `Quick test_auto_chunk;
     Alcotest.test_case "pool: chunked scheduling keeps order" `Quick test_chunked_order;
     Alcotest.test_case "pool: stats counters" `Quick test_stats_counters;
-    Alcotest.test_case "pool: SXE_CHUNK parsing and precedence" `Quick test_chunk_env;
+    Alcotest.test_case "pool: worker count clamped to cores" `Quick test_clamp;
     Alcotest.test_case "pool: resequencer buffering is bounded" `Quick
       test_bounded_resequencer;
     Alcotest.test_case "pool: more jobs than tasks" `Quick test_more_jobs_than_tasks;

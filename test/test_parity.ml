@@ -112,7 +112,7 @@ let test_workloads () =
           check_compile ~seen
             ~what:(w.name ^ "/" ^ config.Sxe_core.Config.name)
             config (Clone.clone_prog base))
-        (Helpers.all_variants ()))
+        (Sxe_core.Config.all ()))
     srcs
 
 (* Each link of the chain needs one more round; [r] is recursive. *)

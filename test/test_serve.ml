@@ -4,10 +4,11 @@
     Unix-domain socket — verdict parity with the one-shot pipeline,
     cache hits, overload backpressure, hostile input (bad escapes,
     nesting bombs, over-long lines), mid-request disconnects and a
-    graceful drain. Also covers two satellites of the same PR: the
-    legacy 5-column audit-baseline parser and the monotonic clock. *)
+    graceful drain. Also covers the legacy 5-column audit-baseline
+    parser, the monotonic clock, and a parse of every JSON artifact
+    [sxopt] writes. *)
 
-module Json = Sxe_serve.Json
+module Json = Sxe_util.Json
 module Hist = Sxe_serve.Hist
 module Cache = Sxe_serve.Cache
 module Compile_one = Sxe_serve.Compile_one
@@ -255,16 +256,30 @@ let test_cache_eviction () =
 let maxlen = Sxe_ir.Types.max_array_length
 
 let test_compile_one () =
-  (* every registered variant name resolves and back *)
+  (* Config's variant table: unique CLI names, each resolving to its
+     own tag and constructor, and the paper's rows in Table 1 order *)
+  let names = List.map (fun (n, _, _) -> n) Sxe_core.Config.variants in
+  Alcotest.(check int)
+    "unique CLI names" (List.length names)
+    (List.length (List.sort_uniq compare names));
   List.iter
-    (fun (name, v) ->
+    (fun (name, v, (make : ?arch:_ -> ?maxlen:_ -> unit -> Sxe_core.Config.t)) ->
       Alcotest.(check bool)
         ("variant " ^ name) true
-        (Compile_one.variant_of_name name = Some v))
-    Compile_one.variant_names;
+        (Sxe_core.Config.variant_of_name name = Some v
+        && (Sxe_core.Config.of_variant v).Sxe_core.Config.name = (make ()).Sxe_core.Config.name))
+    Sxe_core.Config.variants;
+  Alcotest.(check (list string))
+    "Table 1 rows"
+    [
+      "baseline"; "gen use"; "first algorithm"; "basic ud/du"; "insert"; "order";
+      "insert, order"; "array"; "array, insert"; "array, order"; "all, using PDE";
+      "new algorithm (all)";
+    ]
+    (List.map (fun (c : Sxe_core.Config.t) -> c.Sxe_core.Config.name) (Sxe_core.Config.all ()));
   Alcotest.(check bool)
     "unknown variant" true
-    (Compile_one.variant_of_name "nope" = None);
+    (Sxe_core.Config.variant_of_name "nope" = None);
   Alcotest.(check bool) "unknown arch" true (Compile_one.arch_of_name "x86" = None);
   (* the happy path certifies and reports work done *)
   let config = Compile_one.config_of `All in
@@ -441,7 +456,7 @@ let test_serve_verdict_parity () =
         (fun vname ->
           let resp = Json.parse (Client.compile ~variant:vname c sample_src) in
           let variant =
-            Option.get (Compile_one.variant_of_name vname)
+            Option.get (Sxe_core.Config.variant_of_name vname)
           in
           let config = Compile_one.config_of variant in
           let direct =
@@ -820,6 +835,67 @@ let test_monoclock () =
     (abs_float (Monoclock.now_s () -. (Int64.to_float (Monoclock.now_ns ()) /. 1e9))
     < 1.0)
 
+(* ------------------------------------------------------------------ *)
+(* Every JSON artifact parses                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The sxopt binary this test depends on, relative to the test's run
+   directory (test/dune). *)
+let sxopt = "../bin/sxopt.exe"
+
+(* Run sxopt and return its stdout lines; any exit status is accepted
+   (a nonzero one reports findings, not a broken artifact). *)
+let sxopt_lines args =
+  let ic = Unix.open_process_args_in sxopt (Array.of_list (sxopt :: args)) in
+  let out = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  List.filter (( <> ) "") (String.split_on_char '\n' out)
+
+let parses what line =
+  match Json.parse line with
+  | _ -> ()
+  | exception Json.Parse_error msg -> Alcotest.failf "%s: %s in %s" what msg line
+
+(* Corpus entry names that need escaping (UTF-8 and a quote) must come
+   out as valid JSON from every writer. *)
+let test_json_artifacts_parse () =
+  let dir = Filename.temp_dir "sxe-json" "" in
+  let src = In_channel.with_open_bin "../corpus/seed-minij-003.minij" In_channel.input_all in
+  let names = [ "q\"uote.minij"; "seed-\xc3\xa9-003.minij" ] (* load order *) in
+  List.iter
+    (fun n ->
+      Out_channel.with_open_bin (Filename.concat dir n) (fun oc ->
+          Out_channel.output_string oc src))
+    names;
+  let corpus = [ "--corpus"; dir ] in
+  List.iter
+    (fun (what, args, n) ->
+      let lines = sxopt_lines args in
+      Alcotest.(check int) (what ^ " line count") n (List.length lines);
+      List.iter (parses what) lines)
+    [
+      ("certify --json", [ "certify"; "--json" ] @ corpus, 1);
+      ("lint --json", [ "lint"; "--json" ] @ corpus, 1);
+      ("audit --json --sarif -", [ "audit"; "--no-verify"; "--json"; "--sarif"; "-" ] @ corpus, 2);
+      ( "bench --dispatch-counts",
+        [ "bench"; "--dispatch-counts"; "--workload"; "compress"; "--top"; "3" ],
+        1 );
+    ];
+  (match Json.parse (List.hd (sxopt_lines ([ "certify"; "--json" ] @ corpus))) with
+  | Json.Arr cells ->
+      Alcotest.(check (list (option string)))
+        "input names round-trip" (List.map Option.some names)
+        (List.map (Json.str "input") cells)
+  | _ -> Alcotest.fail "certify --json is not an array");
+  List.iter (fun n -> Sys.remove (Filename.concat dir n)) names;
+  Sys.rmdir dir;
+  with_server (fun path _t ->
+      let c = Client.connect path in
+      parses "compile reply" (Client.compile ~emit:true c sample_src);
+      parses "error reply" (Client.compile c bad_src);
+      parses "metrics reply" (Client.request c "{\"op\":\"metrics\"}");
+      Client.close c)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -847,4 +923,5 @@ let suite =
     Alcotest.test_case "baseline: legacy 5-column format" `Quick
       test_baseline_legacy_format;
     Alcotest.test_case "monoclock monotonicity" `Quick test_monoclock;
+    Alcotest.test_case "every JSON artifact parses" `Quick test_json_artifacts_parse;
   ]
