@@ -7,7 +7,8 @@
      workloads list the built-in benchmark programs
      emit      compile and print pseudo-assembly for IA64 or PPC64
      serve     long-running compile-and-certify daemon over a Unix-domain
-               socket (newline-delimited JSON, content-hash cache, batching)
+               socket (newline-delimited JSON, content-hash cache, each
+               cache miss compiled on a worker domain)
      fuzz      differential fuzzing of every variant against the reference
                semantics, with shrinking and corpus replay
      certify   statically verify optimized output with the extension-state
@@ -305,11 +306,13 @@ let serve_cmd =
          line. The $(b,compile) operation optimizes, certifies and \
          (optionally) emits pseudo-assembly for a MiniJ program — the same \
          computation as the one-shot subcommands, shared via the \
-         Compile_one facade — with a content-hash cache in front and \
-         request batching onto a worker-domain pool behind. $(b,metrics) \
+         Compile_one facade — with a content-hash cache in front. Each \
+         cache miss goes to a worker domain as soon as it is read, and \
+         the event loop, which never compiles, keeps answering hits and \
+         reading requests meanwhile. $(b,metrics) \
          reports counters, cache hit rates and latency quantiles; \
          $(b,ping) probes liveness; $(b,shutdown) (or SIGTERM/SIGINT) \
-         drains gracefully: pending requests are answered, new connections \
+         drains gracefully: compiles in flight are answered, new connections \
          are rejected, and the socket file is removed. See docs/SERVE.md.";
     ]
   in
@@ -324,14 +327,16 @@ let serve_cmd =
       value & opt int 64
       & info [ "queue-max" ] ~docv:"N"
           ~doc:
-            "Pending-compile bound: beyond $(docv) queued requests the server \
-             answers \"overloaded\" instead of buffering.")
+            "Compile bound: with $(docv) compiles queued or running the server \
+             answers a new cache miss \"overloaded\" instead of buffering it.")
   in
   let timeout_arg =
     Arg.(
       value & opt float 30.0
       & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Answer \"timeout\" for requests that queue longer than $(docv).")
+          ~doc:
+            "Answer \"timeout\" for a compile that waits longer than $(docv) for \
+             a worker.")
   in
   let cache_max_arg =
     Arg.(
@@ -339,8 +344,21 @@ let serve_cmd =
       & info [ "cache-max" ] ~docv:"N"
           ~doc:"Response-cache capacity in entries (0 disables caching).")
   in
+  let jobs_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Compile worker domains (default: $(b,SXE_JOBS), else one less than \
+             the recommended domain count, at least 1). The event loop runs on \
+             a domain of its own and never compiles.")
+  in
   let run socket jobs queue_max timeout cache_max =
-    let jobs = resolve_jobs jobs in
+    let jobs =
+      match (jobs, Sys.getenv_opt Sxe_par.Pool.env_var) with
+      | 0, (None | Some "") -> max 1 (Domain.recommended_domain_count () - 1)
+      | _ -> resolve_jobs jobs
+    in
     if queue_max < 1 then begin
       Printf.eprintf "error: --queue-max must be at least 1\n";
       exit 2

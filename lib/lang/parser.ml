@@ -9,13 +9,37 @@ open Ast
 
 exception Error of string * int
 
-type t = { toks : (Lexer.token * int) array; mutable k : int }
+type t = {
+  toks : (Lexer.token * int) array;
+  mutable k : int;
+  mutable depth : int;  (** current nesting, see [max_depth] *)
+}
 
 let peek p = fst p.toks.(p.k)
 let line p = snd p.toks.(p.k)
 let advance p = if p.k < Array.length p.toks - 1 then p.k <- p.k + 1
 
 let err p msg = raise (Error (msg, line p))
+
+(* Every recursive descent (parentheses, prefix operators, right-nested
+   [||]/[&&]/[?:], nested statements) and every operator of a
+   left-associative chain adds one level to the tree that lowering then
+   walks recursively. Bounding it turns a hostile source into a parse
+   error instead of a stack overflow. *)
+let max_depth = 10_000
+
+let deeper p =
+  p.depth <- p.depth + 1;
+  if p.depth > max_depth then
+    err p (Printf.sprintf "nesting deeper than %d levels" max_depth)
+
+(* Parse [f p] one level deeper. An error abandons the whole parse, so
+   the level need not be restored on that path. *)
+let nested p f =
+  deeper p;
+  let r = f p in
+  p.depth <- p.depth - 1;
+  r
 
 let eat_punct p s =
   match peek p with
@@ -75,7 +99,7 @@ let looks_like_type p =
 
 let mk line e = { e; line }
 
-let rec expr p = ternary p
+let rec expr p = nested p ternary
 
 and ternary p =
   let c = or_or p in
@@ -84,7 +108,7 @@ and ternary p =
     advance p;
     let a = expr p in
     eat_punct p ":";
-    let b = ternary p in
+    let b = nested p ternary in
     mk ln (ETernary (c, a, b))
   end
   else c
@@ -94,7 +118,7 @@ and or_or p =
   if is_punct p "||" then begin
     let ln = line p in
     advance p;
-    mk ln (EBin (OOrOr, l, or_or p))
+    mk ln (EBin (OOrOr, l, nested p or_or))
   end
   else l
 
@@ -103,23 +127,26 @@ and and_and p =
   if is_punct p "&&" then begin
     let ln = line p in
     advance p;
-    mk ln (EBin (OAndAnd, l, and_and p))
+    mk ln (EBin (OAndAnd, l, nested p and_and))
   end
   else l
 
 and left_assoc p sub ops =
+  let base = p.depth in
   let l = ref (sub p) in
   let rec go () =
     match peek p with
     | Lexer.PUNCT s when List.mem_assoc s ops ->
         let ln = line p in
         advance p;
+        deeper p;
         let r = sub p in
         l := mk ln (EBin (List.assoc s ops, !l, r));
         go ()
     | _ -> ()
   in
   go ();
+  p.depth <- base;
   !l
 
 and bit_or p = left_assoc p bit_xor [ ("|", OOr) ]
@@ -148,13 +175,13 @@ and unary p =
       | Lexer.LONG_LIT v ->
           advance p;
           mk ln (ELong (Int64.neg v))
-      | _ -> mk ln (EUn (ONeg, unary p)))
+      | _ -> mk ln (EUn (ONeg, nested p unary)))
   | Lexer.PUNCT "~" ->
       advance p;
-      mk ln (EUn (ONot, unary p))
+      mk ln (EUn (ONot, nested p unary))
   | Lexer.PUNCT "!" ->
       advance p;
-      mk ln (EUn (OBang, unary p))
+      mk ln (EUn (OBang, nested p unary))
   | Lexer.PUNCT "(" when (match fst p.toks.(p.k + 1) with
                           | Lexer.KW ("int" | "long" | "double" | "byte" | "short") ->
                               fst p.toks.(p.k + 2) = Lexer.PUNCT ")"
@@ -163,15 +190,17 @@ and unary p =
       advance p;
       let t = base_ty p in
       eat_punct p ")";
-      mk ln (ECast (t, unary p))
+      mk ln (ECast (t, nested p unary))
   | _ -> postfix p
 
 and postfix p =
+  let base = p.depth in
   let e = ref (primary p) in
   let rec go () =
     if is_punct p "[" then begin
       let ln = line p in
       advance p;
+      deeper p;
       let i = expr p in
       eat_punct p "]";
       e := mk ln (EIndex (!e, i));
@@ -182,11 +211,13 @@ and postfix p =
       advance p;
       let f = ident p in
       if f <> "length" then err p "only .length is supported";
+      deeper p;
       e := mk ln (ELength !e);
       go ()
     end
   in
   go ();
+  p.depth <- base;
   !e
 
 and primary p =
@@ -251,7 +282,9 @@ let compound_ops =
 
 let mks sline s = { s; sline }
 
-let rec stmt p : stmt =
+let rec stmt p : stmt = nested p stmt_body
+
+and stmt_body p : stmt =
   let ln = line p in
   if is_punct p "{" then mks ln (SBlock (block p))
   else if looks_like_type p then begin
@@ -379,7 +412,7 @@ and block_or_stmt p : stmt list = if is_punct p "{" then block p else [ stmt p ]
 
 let parse_program src : program =
   let toks = Array.of_list (Lexer.tokenize src) in
-  let p = { toks; k = 0 } in
+  let p = { toks; k = 0; depth = 0 } in
   let globals = ref [] and funcs = ref [] in
   let rec go () =
     match peek p with

@@ -45,7 +45,8 @@ type t = {
   mutable live : bool;  (** guarded by [lock] *)
   mutable saved_space_overhead : int option;  (** restored at shutdown *)
   (* cumulative counters; slot [w] is written by worker [w] only, under
-     [lock] (queue_waits) or the current batch's lock (the rest) *)
+     [lock] (queue_waits, and everything for submitted tasks) or the
+     current batch's lock (the rest) *)
   c_tasks : int array;
   c_chunks : int array;
   c_queue_waits : int array;
@@ -98,7 +99,7 @@ let worker_loop p ~wid =
   in
   go ()
 
-let create ?(clamp = true) ?chunk ~jobs () =
+let create ?(clamp = true) ?(dedicated = false) ?chunk ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be at least 1";
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.create: chunk must be at least 1"
@@ -107,7 +108,7 @@ let create ?(clamp = true) ?chunk ~jobs () =
   let n_domains =
     let d = min jobs max_workers in
     let d = if clamp then min d cores else d in
-    if d <= 1 then 0 else d
+    if dedicated then max 1 d else if d <= 1 then 0 else d
   in
   let p =
     {
@@ -200,8 +201,8 @@ let shutdown p =
     | None -> ()
   end
 
-let with_pool ?clamp ?chunk ~jobs f =
-  let p = create ?clamp ?chunk ~jobs () in
+let with_pool ?clamp ?dedicated ?chunk ~jobs f =
+  let p = create ?clamp ?dedicated ?chunk ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
 
 let check_live p =
@@ -209,6 +210,28 @@ let check_live p =
   let l = p.live in
   Mutex.unlock p.lock;
   if not l then invalid_arg "Pool: batch submitted after shutdown"
+
+let submit p f =
+  if p.n_domains = 0 then
+    invalid_arg "Pool.submit: no worker domains (create the pool with ~dedicated:true)";
+  let task wid =
+    let t0 = Sxe_util.Monoclock.now_ns () in
+    f ();
+    let dt = Sxe_util.Monoclock.elapsed_s t0 in
+    Mutex.lock p.lock;
+    p.c_tasks.(wid) <- p.c_tasks.(wid) + 1;
+    p.c_chunks.(wid) <- p.c_chunks.(wid) + 1;
+    p.c_busy_s.(wid) <- p.c_busy_s.(wid) +. dt;
+    Mutex.unlock p.lock
+  in
+  Mutex.lock p.lock;
+  if not p.live then begin
+    Mutex.unlock p.lock;
+    invalid_arg "Pool: task submitted after shutdown"
+  end;
+  Queue.push (Run task) p.queue;
+  Condition.signal p.nonempty;
+  Mutex.unlock p.lock
 
 let consume_map (type b) p (f : 'a -> b) ~(consume : int -> b -> unit) (xs : 'a list) =
   check_live p;

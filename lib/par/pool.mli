@@ -64,15 +64,26 @@
 
     Not re-entrant: calling {!map}/{!consume_map} from inside a task of
     the same pool deadlocks. One batch at a time per pool. Using a pool
-    after {!shutdown} raises [Invalid_argument]. *)
+    after {!shutdown} raises [Invalid_argument].
+
+    {2 Fire-and-forget tasks}
+
+    {!submit} is the non-blocking entry point for a caller that must
+    never compute itself (the daemon's event loop): it enqueues one
+    task and returns at once. It needs worker domains, so such a pool
+    is created with [~dedicated:true], which spawns at least one worker
+    even at [jobs = 1]. Results travel back however the task arranges;
+    the pool delivers nothing. *)
 
 type t
 
-val create : ?clamp:bool -> ?chunk:int -> jobs:int -> unit -> t
+val create : ?clamp:bool -> ?dedicated:bool -> ?chunk:int -> jobs:int -> unit -> t
 (** [create ~jobs ()] makes a pool of degree [jobs] ([jobs >= 1]; [1]
     spawns no domains). The spawned worker count is additionally capped
     at a safe margin below the OCaml runtime's domain limit and — unless
     [clamp] is [false] — at [Domain.recommended_domain_count ()].
+    [dedicated] (default [false]) spawns at least one worker whatever
+    [jobs] and the clamp say, as {!submit} requires.
     [chunk] forces the scheduling chunk size (otherwise automatic).
     Raises [Invalid_argument] on [jobs < 1] or [chunk < 1]. *)
 
@@ -83,10 +94,12 @@ val domains : t -> int
 (** Worker domains actually spawned ([0] on the sequential path). *)
 
 val shutdown : t -> unit
-(** Stop and join the workers; idempotent. The pool must not be used
+(** Stop and join the workers; idempotent. Every task {!submit}ted
+    before the call runs to completion first. The pool must not be used
     afterwards: later batches raise [Invalid_argument]. *)
 
-val with_pool : ?clamp:bool -> ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
+val with_pool :
+  ?clamp:bool -> ?dedicated:bool -> ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
     the way out, exceptions included. *)
 
@@ -102,6 +115,14 @@ val consume_map : t -> ('a -> 'b) -> consume:(int -> 'b -> unit) -> 'a list -> u
     driver's progress log. Exceptions raised by [consume] propagate
     immediately; pending worker chunks of the batch finish in the
     background and are discarded. *)
+
+val submit : t -> (unit -> unit) -> unit
+(** [submit t f] queues [f] to run once on a worker domain and returns
+    without waiting; tasks start in submission order. [f] must not
+    raise: an escaping exception ends its worker domain, and {!shutdown}
+    re-raises it when joining. Each task counts as one item and one
+    chunk in {!stats}. Raises [Invalid_argument] on a pool without
+    worker domains (see [dedicated] in {!create}) or after {!shutdown}. *)
 
 (** {2 Instrumentation} *)
 

@@ -27,10 +27,16 @@ type conn = {
          hang-up *)
 }
 
-(* One cache-missing compile request, fully parsed and keyed. *)
+(* A request waiting for a compile: where and how to answer it. *)
+type waiter = {
+  r_conn : conn;
+  r_id : string option;  (* the request's "id" member, re-rendered *)
+  r_received : int64;
+}
+
+(* One cache-missing compile, fully parsed and keyed; [w_received] is
+   the arrival of the request that started it. *)
 type work = {
-  w_conn : conn;
-  w_id : string option;  (* the request's "id" member, re-rendered *)
   w_key : string;
   w_config : Sxe_core.Config.t;
   w_arch_name : string;
@@ -45,12 +51,22 @@ type work = {
    hit re-sends bytes instead of re-rendering the assembly text. *)
 type payload = { ok : bool; members : string }
 
+(* What a worker hands back for one compile: the payload and whether it
+   may be cached, or [Expired] when the task was picked up after the
+   queue-wait timeout and never compiled. *)
+type outcome = Compiled of payload * bool | Expired
+
 type t = {
   config : config;
   stopping : bool Atomic.t;
   cache : payload Cache.t;
   lat : Hist.t;
-  pending : work Queue.t;
+  inflight : (string, waiter list) Hashtbl.t;
+      (* key -> its requesters, newest first: every compile queued on or
+         running in the pool *)
+  pending : work Queue.t;  (* read this tick, not yet submitted *)
+  finished : (string * outcome) Queue.t;  (* filled by workers *)
+  finished_lock : Mutex.t;  (* guards [finished] *)
   mutable started : int64;
   (* counters, event-loop domain only *)
   mutable requests : int;
@@ -61,8 +77,6 @@ type t = {
   mutable overloaded : int;
   mutable timeouts : int;
   mutable coalesced : int;
-  mutable batches : int;
-  mutable max_batch : int;
   mutable max_queue : int;
   mutable total_conns : int;
   mutable live_conns : int;
@@ -74,7 +88,10 @@ let create (config : config) : t =
     stopping = Atomic.make false;
     cache = Cache.create ~max_entries:config.cache_max ();
     lat = Hist.create ();
+    inflight = Hashtbl.create 64;
     pending = Queue.create ();
+    finished = Queue.create ();
+    finished_lock = Mutex.create ();
     started = 0L;
     requests = 0;
     compile_requests = 0;
@@ -84,8 +101,6 @@ let create (config : config) : t =
     overloaded = 0;
     timeouts = 0;
     coalesced = 0;
-    batches = 0;
-    max_batch = 0;
     max_queue = 0;
     total_conns = 0;
     live_conns = 0;
@@ -141,18 +156,23 @@ let ok_payload ~arch_name (o : Compile_one.outcome) =
 let err_payload ~category ~detail =
   payload false [ ("error", Json.Str category); ("detail", Json.Str detail) ]
 
-(* Runs on a pool worker. Returns (payload, cacheable): deterministic
-   outcomes (verdicts and frontend errors) cache; internal crashes do
-   not, so a transient failure is retried rather than pinned. *)
-let compute_payload (w : work) : payload * bool =
-  match
-    Compile_one.run_source ~emit:w.w_emit ~config:w.w_config ~maxlen:w.w_maxlen
-      w.w_source
-  with
-  | Ok o -> (ok_payload ~arch_name:w.w_arch_name o, true)
-  | Error msg -> (err_payload ~category:"frontend" ~detail:msg, true)
-  | exception e ->
-      (err_payload ~category:"internal" ~detail:(Printexc.to_string e), false)
+(* Runs on a pool worker, which takes the queue-wait timeout at pickup.
+   Deterministic outcomes (verdicts and frontend errors) cache; internal
+   crashes do not, so a transient failure is retried rather than pinned.
+   Nothing may escape: a raise would end the worker domain and leave the
+   compile in flight forever. *)
+let compile_outcome ~timeout_s (w : work) : outcome =
+  try
+    if Monoclock.elapsed_s w.w_received > timeout_s then Expired
+    else
+      match
+        Compile_one.run_source ~emit:w.w_emit ~config:w.w_config
+          ~maxlen:w.w_maxlen w.w_source
+      with
+      | Ok o -> Compiled (ok_payload ~arch_name:w.w_arch_name o, true)
+      | Error msg -> Compiled (err_payload ~category:"frontend" ~detail:msg, true)
+  with e ->
+    Compiled (err_payload ~category:"internal" ~detail:(Printexc.to_string e), false)
 
 (* ------------------------------------------------------------------ *)
 (* Connection I/O                                                      *)
@@ -238,9 +258,9 @@ let metrics_payload t =
             ("overloaded", int t.overloaded);
             ("timeouts", int t.timeouts);
             ("coalesced", int t.coalesced);
-            ("batches", int t.batches);
-            ("max_batch", int t.max_batch);
-            ("queue_depth", int (Queue.length t.pending));
+            (* every compile is its own pool task: a batch of one *)
+            ("batches", int t.compiles);
+            ("queue_depth", int (Hashtbl.length t.inflight));
             ("max_queue_depth", int t.max_queue);
             ("connections", int t.live_conns);
             ("total_connections", int t.total_conns);
@@ -264,6 +284,32 @@ let metrics_payload t =
             ("pipeline_rev", Json.Str Compile_one.pipeline_rev);
           ] );
     ]
+
+(* A cache miss joins its key's in-flight compile, or starts one unless
+   [queue_max] compiles are already queued or running. *)
+let miss t (r : waiter) (w : work) =
+  match Hashtbl.find_opt t.inflight w.w_key with
+  | Some waiters ->
+      t.coalesced <- t.coalesced + 1;
+      Hashtbl.replace t.inflight w.w_key (r :: waiters)
+  | None ->
+      let depth = Hashtbl.length t.inflight in
+      if depth >= t.config.queue_max then begin
+        t.overloaded <- t.overloaded + 1;
+        t.err_count <- t.err_count + 1;
+        send t r.r_conn ~id:r.r_id ~cached:false
+          (err_payload ~category:"overloaded"
+             ~detail:
+               (Printf.sprintf
+                  "queue full (%d compiles queued or running); retry later" depth))
+      end
+      else begin
+        (* every key in [inflight] reaches the pool through [pending],
+           or the drain would wait for it forever *)
+        Hashtbl.add t.inflight w.w_key [ r ];
+        Queue.push w t.pending;
+        t.max_queue <- max t.max_queue (depth + 1)
+      end
 
 let handle_compile t (c : conn) ~id (j : Json.t) =
   t.compile_requests <- t.compile_requests + 1;
@@ -306,30 +352,17 @@ let handle_compile t (c : conn) ~id (j : Json.t) =
                   record_latency t received;
                   send t c ~id ~cached:true payload
               | None ->
-                  if Queue.length t.pending >= t.config.queue_max then begin
-                    t.overloaded <- t.overloaded + 1;
-                    t.err_count <- t.err_count + 1;
-                    send t c ~id ~cached:false
-                      (err_payload ~category:"overloaded"
-                         ~detail:
-                           (Printf.sprintf
-                              "queue full (%d pending); retry later"
-                              (Queue.length t.pending)))
-                  end
-                  else
-                    Queue.push
-                      {
-                        w_conn = c;
-                        w_id = id;
-                        w_key = key;
-                        w_config = Sxe_core.Config.of_variant ~arch ~maxlen variant;
-                        w_arch_name = aname;
-                        w_maxlen = maxlen;
-                        w_emit = emit;
-                        w_source = source;
-                        w_received = received;
-                      }
-                      t.pending))))
+                  miss t
+                    { r_conn = c; r_id = id; r_received = received }
+                    {
+                      w_key = key;
+                      w_config = Sxe_core.Config.of_variant ~arch ~maxlen variant;
+                      w_arch_name = aname;
+                      w_maxlen = maxlen;
+                      w_emit = emit;
+                      w_source = source;
+                      w_received = received;
+                    }))))
 
 let handle_line_exn t (c : conn) (line : string) =
   match Json.parse line with
@@ -413,61 +446,68 @@ let read_conn t (c : conn) =
   if (not c.closed) && not c.draining then ingest t c
 
 (* ------------------------------------------------------------------ *)
-(* Batch execution                                                     *)
+(* Compile dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_batch t pool =
-  let depth = Queue.length t.pending in
-  if depth > 0 then begin
-    if depth > t.max_queue then t.max_queue <- depth;
-    t.batches <- t.batches + 1;
-    if depth > t.max_batch then t.max_batch <- depth;
-    let items = List.of_seq (Queue.to_seq t.pending) in
-    Queue.clear t.pending;
-    (* expire requests that overstayed the queue *)
-    let live, expired =
-      List.partition
-        (fun w -> Monoclock.elapsed_s w.w_received <= t.config.timeout_s)
-        items
-    in
-    List.iter
-      (fun w ->
-        t.timeouts <- t.timeouts + 1;
-        t.err_count <- t.err_count + 1;
-        send t w.w_conn ~id:w.w_id ~cached:false
-          (err_payload ~category:"timeout"
-             ~detail:
-               (Printf.sprintf "queued longer than %.1fs" t.config.timeout_s)))
-      expired;
-    (* coalesce identical keys: compile once, answer everyone *)
-    let by_key : (string, work list ref) Hashtbl.t = Hashtbl.create 16 in
-    let distinct =
-      List.filter
+(* Hand every compile read this tick to the pool. The task runs on a
+   worker domain, queues its outcome under [finished_lock] and writes
+   one byte to the self-pipe [wake] so the loop's select returns. A
+   full pipe already has a wake-up pending, so that write may fail. *)
+let dispatch t pool ~wake =
+  while not (Queue.is_empty t.pending) do
+    let w = Queue.pop t.pending in
+    t.compiles <- t.compiles + 1;
+    Sxe_par.Pool.submit pool (fun () ->
+        let o = compile_outcome ~timeout_s:t.config.timeout_s w in
+        Mutex.lock t.finished_lock;
+        Queue.push (w.w_key, o) t.finished;
+        Mutex.unlock t.finished_lock;
+        try ignore (Unix.single_write_substring wake "!" 0 1)
+        with Unix.Unix_error _ -> ())
+  done
+
+(* Cache each finished compile and answer everyone who asked for it. *)
+let deliver t (key, outcome) =
+  let waiters = List.rev (Hashtbl.find t.inflight key) in
+  Hashtbl.remove t.inflight key;
+  match outcome with
+  | Expired ->
+      List.iter
         (fun w ->
-          match Hashtbl.find_opt by_key w.w_key with
-          | Some l ->
-              l := w :: !l;
-              false
-          | None ->
-              Hashtbl.add by_key w.w_key (ref [ w ]);
-              true)
-        live
-    in
-    t.compiles <- t.compiles + List.length distinct;
-    let results = Sxe_par.Pool.map pool compute_payload distinct in
-    List.iter2
-      (fun w (payload, cacheable) ->
-        if cacheable then Cache.add t.cache w.w_key payload;
-        let requesters = List.rev !(Hashtbl.find by_key w.w_key) in
-        List.iteri
-          (fun i r ->
-            if i > 0 then t.coalesced <- t.coalesced + 1;
-            count_outcome t payload;
-            record_latency t r.w_received;
-            send t r.w_conn ~id:r.w_id ~cached:false payload)
-          requesters)
-      distinct results
-  end
+          t.timeouts <- t.timeouts + 1;
+          t.err_count <- t.err_count + 1;
+          send t w.r_conn ~id:w.r_id ~cached:false
+            (err_payload ~category:"timeout"
+               ~detail:
+                 (Printf.sprintf "queued longer than %.1fs" t.config.timeout_s)))
+        waiters
+  | Compiled (payload, cacheable) ->
+      if cacheable then Cache.add t.cache key payload;
+      List.iter
+        (fun w ->
+          count_outcome t payload;
+          record_latency t w.r_received;
+          send t w.r_conn ~id:w.r_id ~cached:false payload)
+        waiters
+
+(* Empty the self-pipe first, then the queue: a byte written after the
+   read belongs to an outcome that is either taken now or wakes the
+   next select. *)
+let collect t ~wake =
+  let buf = Bytes.create 256 in
+  let rec empty_pipe () =
+    match Unix.read wake buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> empty_pipe ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (EINTR, _, _) -> empty_pipe ()
+  in
+  empty_pipe ();
+  let done_ = Queue.create () in
+  Mutex.lock t.finished_lock;
+  Queue.transfer t.finished done_;
+  Mutex.unlock t.finished_lock;
+  Queue.iter (deliver t) done_
 
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
@@ -535,7 +575,19 @@ let serve ?(handle_signals = false) ?on_ready t =
     in
     go ()
   in
-  Sxe_par.Pool.with_pool ~jobs:t.config.jobs (fun pool ->
+  (* The self-pipe: a worker writes one byte per finished compile, so
+     the select below returns for it. It outlives the pool, whose
+     shutdown runs every submitted compile before joining. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ wake_r; wake_w ])
+  @@ fun () ->
+  Sxe_par.Pool.with_pool ~dedicated:true ~jobs:t.config.jobs (fun pool ->
       let quit = ref false in
       while not !quit do
         let stopping = Atomic.get t.stopping in
@@ -549,7 +601,7 @@ let serve ?(handle_signals = false) ?on_ready t =
         (* while draining, stop reading: only fully-received requests
            are served *)
         let rds =
-          (if !listening then [ listen_fd ] else [])
+          (wake_r :: (if !listening then [ listen_fd ] else []))
           @
           if stopping then []
           else
@@ -571,12 +623,15 @@ let serve ?(handle_signals = false) ?on_ready t =
            loop: anything the per-syscall handlers did not foresee
            drops the connection and the daemon carries on *)
         let guarded c f = try f () with _ -> close_conn t c in
+        collect t ~wake:wake_r;
         if !listening && List.mem listen_fd readable then accept_all ();
         List.iter
           (fun c ->
-            if List.mem c.fd readable then guarded c (fun () -> read_conn t c))
+            if List.mem c.fd readable then begin
+              guarded c (fun () -> read_conn t c);
+              dispatch t pool ~wake:wake_w
+            end)
           live;
-        run_batch t pool;
         (* flush everything with output, not just select's writable set:
            fresh replies were appended after the select call *)
         List.iter
@@ -593,7 +648,7 @@ let serve ?(handle_signals = false) ?on_ready t =
           (Hashtbl.copy conns);
         if
           Atomic.get t.stopping
-          && Queue.is_empty t.pending
+          && Hashtbl.length t.inflight = 0
           && Hashtbl.fold (fun _ c acc -> acc && flushed c) conns true
         then begin
           Hashtbl.iter (fun _ c -> close_conn t c) conns;

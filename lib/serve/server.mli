@@ -4,7 +4,7 @@
     newline-delimited JSON: one request object per line, one response
     object per line. A request's optional [id] is echoed in its
     response; clients that pipeline correlate by [id], because a
-    cache-missing [compile] is answered when its batch finishes while
+    cache-missing [compile] is answered when its compile finishes while
     later cheap requests (ping, metrics, cache hits) are answered
     inline — replies on one connection can legally interleave. A
     client that keeps one request in flight (like {!Client}) always
@@ -20,38 +20,44 @@
 
     {2 Architecture}
 
-    A single select-driven event loop owns every socket and the
-    response cache; compilation fans out in batches onto a
-    {!Sxe_par.Pool} of worker domains, so one slow request does not
-    serialize the rest while the loop itself stays free of locks.
-    Requests already satisfied by the content-hash {!Cache} are
-    answered inline; identical cache-missing requests arriving in the
-    same batch are compiled once and coalesced.
+    A single select-driven event loop owns every socket, the response
+    cache and the counters, and never compiles. Requests already
+    satisfied by the content-hash {!Cache} are answered inline. Each
+    cache miss, once parsed and keyed, is handed with
+    {!Sxe_par.Pool.submit} to a pool of [jobs] worker domains as soon as
+    it is read. The worker queues its outcome under a mutex and writes
+    one byte to a self-pipe that the loop's [select] watches; the loop
+    then caches the payload and answers every requester, while it keeps
+    reading, answering hits and dispatching. A miss whose key is already
+    in flight joins that compile and is counted as [coalesced].
 
     {2 Backpressure and timeouts}
 
-    At most [queue_max] compile requests may be pending; beyond that
-    the server answers [{"ok":false,"error":"overloaded"}] immediately
-    (the 429 of this protocol) instead of buffering without bound. A
-    request that has waited longer than [timeout_s] when its batch
-    forms is answered [{"ok":false,"error":"timeout"}] rather than
-    compiled.
+    At most [queue_max] compiles may be queued or running; a further
+    cache miss is answered [{"ok":false,"error":"overloaded"}]
+    immediately (the 429 of this protocol) instead of buffering without
+    bound. A compile whose first request has waited longer than
+    [timeout_s] when a worker picks it up is not run: its requesters
+    are answered [{"ok":false,"error":"timeout"}].
 
     {2 Shutdown and robustness}
 
     On SIGTERM/SIGINT (when [handle_signals]), a [shutdown] request, or
     {!stop}: the listen socket closes (new connections are rejected by
     the OS), every fully-received request is still compiled and
-    answered, replies are flushed, and the loop exits after removing
-    the socket file. The in-memory cache is only ever touched from the
-    event loop, so a drain can never corrupt it. SIGPIPE is ignored; a
-    client that disconnects mid-request costs its own reply and nothing
-    else — the batch completes, the dead connection is reaped, and no
-    pool slot leaks.
+    answered, the loop waits until no compile is in flight, replies are
+    flushed, and the loop exits after removing the socket file. The
+    in-memory cache is only ever touched from the event loop, so a
+    drain can never corrupt it. SIGPIPE is ignored; a client that
+    disconnects mid-request costs its own reply and nothing else — its
+    compile completes and is cached, the dead connection is reaped, and
+    no pool slot leaks.
 
     No single request or connection can take the daemon down: request
-    handling sits behind an exception barrier (an unexpected exception
-    is answered as [{"ok":false,"error":"internal"}]), {!Json.parse}
+    handling and every compile task sit behind an exception barrier (an
+    unexpected exception is answered as
+    [{"ok":false,"error":"internal"}]; a raise in a task would end its
+    worker domain and hang the drain), {!Json.parse}
     raises only [Parse_error] and bounds nesting depth, a
     protocol-broken connection (over-long line) still receives its
     error reply before the close, and fd exhaustion under a connection
@@ -60,9 +66,11 @@
 
 type config = {
   socket_path : string;
-  jobs : int;  (** worker domains for the compile pool (>= 1) *)
-  queue_max : int;  (** pending-compile bound before "overloaded" *)
-  timeout_s : float;  (** max queue wait before "timeout" *)
+  jobs : int;
+      (** compile worker domains (>= 1; clamped to the core count), none
+          of them the loop's *)
+  queue_max : int;  (** bound on queued plus running compiles *)
+  timeout_s : float;  (** max wait for a worker before "timeout" *)
   cache_max : int;  (** cache entries ({!Cache.create}) *)
 }
 

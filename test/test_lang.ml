@@ -260,6 +260,29 @@ void main() {
   let out = Sxe_vm.Interp.run ~mode:`Canonical prog in
   Alcotest.(check string) "value" "6.5" (String.trim out.Sxe_vm.Interp.output)
 
+(* Nesting past the parser's bound is a typed frontend error, whichever
+   construct nests: parentheses, prefix operators, blocks, or a flat
+   left-associative chain (a left-deep tree for lowering to walk). *)
+let test_nesting_bound () =
+  let deep_error what src =
+    match Sxe_lang.Frontend.compile src with
+    | _ -> Alcotest.failf "%s: expected a nesting error" what
+    | exception Sxe_lang.Frontend.Error msg ->
+        if not (String.ends_with ~suffix:"nesting deeper than 10000 levels" msg) then
+          Alcotest.failf "%s: unexpected message %S" what msg
+  in
+  let rep n s = String.concat "" (List.init n (fun _ -> s)) in
+  deep_error "parentheses"
+    (Printf.sprintf "void main() { print_int(%s1%s); }" (rep 20_000 "(") (rep 20_000 ")"));
+  deep_error "prefix operators" (Printf.sprintf "void main() { print_int(%s1); }" (rep 20_000 "- "));
+  deep_error "blocks" (Printf.sprintf "void main() { %s %s }" (rep 20_000 "{") (rep 20_000 "}"));
+  deep_error "flat sum" (Printf.sprintf "void main() { print_int(1%s); }" (rep 20_000 " + 1"));
+  (* well inside the bound, deep nesting still compiles and runs *)
+  check_out
+    (Printf.sprintf "void main() { print_int(%s7%s); }" (rep 2_000 "(") (rep 2_000 ")"))
+    "7";
+  check_out (Printf.sprintf "void main() { print_int(0%s); }" (rep 2_000 " + 1")) "2000"
+
 let suite =
   [
     Alcotest.test_case "lexer" `Quick test_lexer;
@@ -276,4 +299,5 @@ let suite =
     Alcotest.test_case "ternary type errors" `Quick test_ternary_type_errors;
     Alcotest.test_case "scoping" `Quick test_scoping;
     Alcotest.test_case "lowering validates" `Quick test_lowering_validates;
+    Alcotest.test_case "nesting bound" `Quick test_nesting_bound;
   ]

@@ -205,6 +205,64 @@ let test_use_after_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument after shutdown (jobs=1)"
   | exception Invalid_argument _ -> ()
 
+(* [submit] never runs a task on the caller, at jobs 1 too: that is the
+   daemon's guarantee that its event loop never compiles. *)
+let test_submit_on_workers () =
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~clamp:false ~dedicated:true ~jobs (fun p ->
+          Alcotest.(check int) (Printf.sprintf "jobs %d: domains" jobs) jobs (Pool.domains p);
+          let n = 40 in
+          let ran_on = Array.make n caller in
+          let m = Mutex.create () and all_done = Condition.create () in
+          let left = ref n in
+          for i = 0 to n - 1 do
+            Pool.submit p (fun () ->
+                let d = (Domain.self () :> int) in
+                Mutex.lock m;
+                ran_on.(i) <- d;
+                decr left;
+                if !left = 0 then Condition.signal all_done;
+                Mutex.unlock m)
+          done;
+          Mutex.lock m;
+          while !left > 0 do
+            Condition.wait all_done m
+          done;
+          Mutex.unlock m;
+          Array.iteri
+            (fun i d ->
+              if d = caller then
+                Alcotest.failf "jobs %d: task %d ran on the submitting domain" jobs i)
+            ran_on;
+          let s = Pool.stats p in
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: tasks counted" jobs)
+            n
+            (Array.fold_left ( + ) 0 s.Pool.tasks)))
+    [ 1; 2 ]
+
+let test_submit_then_shutdown () =
+  let p = Pool.create ~clamp:false ~dedicated:true ~jobs:2 () in
+  let ran = Atomic.make 0 in
+  for _ = 1 to 20 do
+    Pool.submit p (fun () ->
+        Unix.sleepf 0.002;
+        Atomic.incr ran)
+  done;
+  (* no waiting: shutdown itself must run the queue dry, then join *)
+  Pool.shutdown p;
+  Alcotest.(check int) "every submitted task ran before the join" 20 (Atomic.get ran);
+  (match Pool.submit p ignore with
+  | () -> Alcotest.fail "expected Invalid_argument after shutdown"
+  | exception Invalid_argument _ -> ());
+  (* a pool without worker domains has no one to hand a task to *)
+  Pool.with_pool ~jobs:1 (fun q ->
+      match Pool.submit q ignore with
+      | () -> Alcotest.fail "expected Invalid_argument without workers"
+      | exception Invalid_argument _ -> ())
+
 let test_start_stop_stress () =
   (* create/shutdown churn with work in flight: a worker that wakes on
      the final broadcast with an empty queue must still exit (the live
@@ -392,4 +450,6 @@ let suite =
       test_fuzz_par_failing_campaign;
     Alcotest.test_case "certify: matrix verdicts, jobs 1 = jobs 4" `Slow
       test_certify_matrix_par_deterministic;
+    Alcotest.test_case "pool: submit runs on worker domains" `Quick test_submit_on_workers;
+    Alcotest.test_case "pool: shutdown after submit joins" `Quick test_submit_then_shutdown;
   ]

@@ -896,6 +896,151 @@ let test_json_artifacts_parse () =
       parses "metrics reply" (Client.request c "{\"op\":\"metrics\"}");
       Client.close c)
 
+(* ------------------------------------------------------------------ *)
+(* Per-request dispatch and the frontend nesting bound                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A program whose compile takes a noticeable while (about 0.5 s on one
+   core of a 2-vCPU VM): 60 counted loops in one function, and the
+   pipeline's cost grows faster than linearly in that count. *)
+let slow_src =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b "void main() {\n  byte[] a = new byte[64];\n  int s = 0;\n";
+  for k = 0 to 59 do
+    Printf.bprintf b
+      "  for (int i%d = 0; i%d < 64; i%d = i%d + 1) { a[i%d] = i%d * %d; s = s + a[i%d]; }\n"
+      k k k k k k (k mod 7 + 1) k
+  done;
+  Buffer.add_string b "  print_int(s);\n}\n";
+  Buffer.contents b
+
+let metric conn name =
+  let m = Json.parse (Client.request conn "{\"op\":\"metrics\"}") in
+  match Option.bind (Json.member "metrics" m) (Json.int name) with
+  | Some v -> Int64.to_int v
+  | None -> Alcotest.failf "metrics reply without %S" name
+
+(* Poll [metrics] until a compile is in flight; the event loop answers
+   it while the worker compiles. *)
+let await_inflight conn =
+  let t0 = Unix.gettimeofday () in
+  while metric conn "queue_depth" = 0 do
+    if Unix.gettimeofday () -. t0 > 10.0 then
+      Alcotest.fail "the compile never showed up as in flight";
+    Unix.sleepf 0.002
+  done
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+
+(* Misses are compiled on worker domains while the loop keeps answering:
+   a hit on another connection overtakes a slow miss. *)
+let test_serve_hit_overtakes_miss () =
+  with_server ~jobs:1 (fun path _t ->
+      let slow = Client.connect path and fast = Client.connect path in
+      ignore (Client.compile fast sample_src);
+      write_all (Client.fd slow) (compile_req ~id:"slow" slow_src);
+      await_inflight fast;
+      let hit = Json.parse (Client.compile fast sample_src) in
+      Alcotest.(check (option bool)) "hit answered" (Some true) (Json.bool "cached" hit);
+      Alcotest.(check bool)
+        "the slow miss is still compiling" true
+        (metric fast "queue_depth" = 1 && not (readable (Client.fd slow)));
+      (match List.map Json.parse (recv_lines (Client.fd slow) 1) with
+      | [ r ] ->
+          Alcotest.(check (option bool)) "slow miss ok" (Some true) (Json.bool "ok" r);
+          Alcotest.(check (option bool)) "slow miss was a miss" (Some false) (Json.bool "cached" r)
+      | rs -> Alcotest.failf "%d replies to the slow miss" (List.length rs));
+      Client.close slow;
+      Client.close fast)
+
+(* A miss whose key is already compiling joins that compile. *)
+let test_serve_coalesce_inflight () =
+  with_server ~jobs:1 (fun path _t ->
+      let c = Client.connect path in
+      let src = sample_src ^ "// coalesce\n" in
+      write_all (Client.fd c) (compile_req ~id:"a" src ^ compile_req ~id:"b" src);
+      let replies = List.map Json.parse (recv_lines (Client.fd c) 2) in
+      Alcotest.(check (list (option string)))
+        "both answered" [ Some "a"; Some "b" ]
+        (List.sort compare (List.map (Json.str "id") replies));
+      List.iter
+        (fun r ->
+          Alcotest.(check (option bool)) "ok" (Some true) (Json.bool "ok" r);
+          Alcotest.(check (option bool)) "not from the cache" (Some false) (Json.bool "cached" r))
+        replies;
+      Alcotest.(check int) "one compile" 1 (metric c "compiles");
+      Alcotest.(check int) "one coalesced" 1 (metric c "coalesced");
+      Client.close c)
+
+(* [Server.stop] with a compile on a worker: the drain waits for it, and
+   its reply is out before [serve] returns. *)
+let test_serve_stop_inflight () =
+  let socket_path = temp_socket_path () in
+  let t = Server.create { (Server.default_config ~socket_path) with Server.jobs = 1 } in
+  let ready = Atomic.make false in
+  let d =
+    Domain.spawn (fun () -> Server.serve ~on_ready:(fun () -> Atomic.set ready true) t)
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.002
+  done;
+  let c = Client.connect socket_path and probe = Client.connect socket_path in
+  write_all (Client.fd c) (compile_req ~id:"slow" slow_src);
+  await_inflight probe;
+  Server.stop t;
+  Domain.join d;
+  (match List.map Json.parse (recv_lines (Client.fd c) 1) with
+  | [ r ] ->
+      Alcotest.(check (option string)) "reply id" (Some "slow") (Json.str "id" r);
+      Alcotest.(check (option bool)) "in-flight compile answered" (Some true) (Json.bool "ok" r)
+  | rs -> Alcotest.failf "%d replies" (List.length rs));
+  Client.close c;
+  Client.close probe;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket_path)
+
+(* Run sxopt; return its exit code and standard error. *)
+let sxopt_status args =
+  let out, inp, err =
+    Unix.open_process_args_full sxopt (Array.of_list (sxopt :: args)) (Unix.environment ())
+  in
+  close_out inp;
+  let stderr = In_channel.input_all err in
+  ignore (In_channel.input_all out);
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED n -> (n, stderr)
+  | _ -> Alcotest.fail "sxopt killed by a signal"
+
+(* A deeply nested source is a typed frontend error: exit 1 with the
+   parser's message from the CLI, a cached [frontend] reply from the
+   daemon (so a resend costs a lookup, not another descent). *)
+let test_nesting_bound () =
+  let depth = 100_000 in
+  let deep =
+    Printf.sprintf "void main() { int x = %s1%s; print_int(x); }"
+      (String.make depth '(') (String.make depth ')')
+  in
+  let file = Filename.temp_file "sxe-deep" ".minij" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc deep);
+  let code, err = sxopt_status [ "compile"; file ] in
+  Sys.remove file;
+  Alcotest.(check int) "sxopt compile exit code" 1 code;
+  Alcotest.(check bool)
+    ("sxopt compile message: " ^ err)
+    true
+    (String.starts_with ~prefix:"error: parse error (line 1): nesting deeper than" err);
+  with_server (fun path _t ->
+      let c = Client.connect path in
+      let r1 = Json.parse (Client.compile c deep) in
+      Alcotest.(check (option string)) "daemon category" (Some "frontend") (Json.str "error" r1);
+      Alcotest.(check (option bool)) "first is a miss" (Some false) (Json.bool "cached" r1);
+      let r2 = Json.parse (Client.compile c deep) in
+      Alcotest.(check (option string)) "resend category" (Some "frontend") (Json.str "error" r2);
+      Alcotest.(check (option bool)) "resend is a hit" (Some true) (Json.bool "cached" r2);
+      Client.close c)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -924,4 +1069,11 @@ let suite =
       test_baseline_legacy_format;
     Alcotest.test_case "monoclock monotonicity" `Quick test_monoclock;
     Alcotest.test_case "every JSON artifact parses" `Quick test_json_artifacts_parse;
+    Alcotest.test_case "serve: a hit overtakes a slow miss" `Quick
+      test_serve_hit_overtakes_miss;
+    Alcotest.test_case "serve: in-flight misses coalesce" `Quick test_serve_coalesce_inflight;
+    Alcotest.test_case "serve: stop waits for in-flight compile" `Quick
+      test_serve_stop_inflight;
+    Alcotest.test_case "serve: nesting bound is a cached frontend error" `Quick
+      test_nesting_bound;
   ]
