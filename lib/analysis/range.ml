@@ -22,13 +22,40 @@
     replay runs in a buffer owned by the result, so a query allocates no
     state either.
 
+    {b Sparse states.} A block boundary stores only the tracked registers
+    live there ({!Liveness}): the entry state holds the registers live
+    into the block, the exit state those live out of it plus the
+    terminator's operands (edge refinement reads them, and they can be
+    dead after the branch). Each is a compact array indexed by position
+    in the block's sorted register array. About ten registers are live at
+    a boundary against hundreds in a function, so the join, the merge,
+    the containment test and the narrowing compare all loop over the live
+    positions only. One dense scratch state, top at every register
+    between uses, serves the body replays of the fixpoint and of the
+    queries: a replay scatters the entry state into it, runs the body,
+    and resets to top the registers it loaded or the body wrote.
+
+    Two behaviours follow, both sound:
+    - a register not live into a block answers [top] there until the
+      block defines it, where a dense analysis answers the join of the
+      predecessors' exits. Every client asks about an instruction's
+      operands, its destination or the returned register, which are live
+      where they are asked about, and at a live register the answer is
+      the dense analysis's;
+    - a block's visit counter, which schedules widening, grows only when
+      a {e live-in} register grows: growth of a dead register no longer
+      hastens the widening of the live ones. Widening is sound at any
+      visit, so only precision could differ, and none did on the
+      workloads or on random CFGs (the [parity] tests).
+
     {b The fixpoint works in place.} Each block's entry and exit states
     are allocated once, when {!compute} starts, and are updated in place
     from then on. A visit joins the edge-refined exits of the block's
-    predecessors into one scratch buffer. Branch refinement touches only
-    the two compared registers, so no state is copied per edge. Merging
-    and widening then write into the entry state directly. The exit state
-    of a block is recomputed only after its entry has changed.
+    predecessors into one compact scratch buffer. Branch refinement
+    touches only the two compared registers, so no state is copied per
+    edge. Merging and widening then write into the entry state directly.
+    The exit state of a block is recomputed only after its entry has
+    changed.
 
     {b Dirty blocks.} Both phases skip a block when no predecessor's exit
     has changed since the block's last visit. The skip is exact. A visit
@@ -41,6 +68,7 @@
     final states exactly as a full round-robin sweep would. In the
     narrowing phase a visit stores its join outright, so the same
     argument applies. *)
+
 
 open Sxe_ir
 open Types
@@ -144,16 +172,17 @@ let sset (st : state) r ((lo, hi) : interval) =
   st.(2 * r) <- Int64.to_int lo;
   st.((2 * r) + 1) <- Int64.to_int hi
 
-let set_top (st : state) =
-  for r = 0 to (Array.length st / 2) - 1 do
-    st.(2 * r) <- Int64.to_int i32_min;
-    st.((2 * r) + 1) <- Int64.to_int i32_max
+
+let i32_min_int = Int64.to_int i32_min
+let i32_max_int = Int64.to_int i32_max
+
+(** Set the first [n] intervals of a state to [top]. *)
+let fill_top (st : state) n =
+  for k = 0 to n - 1 do
+    st.(2 * k) <- i32_min_int;
+    st.((2 * k) + 1) <- i32_max_int
   done
 
-let state_make nregs : state =
-  let st = Array.make (2 * nregs) 0 in
-  set_top st;
-  st
 
 (** Largest possible valid index: length <= 0x7fffffff, index < length. *)
 let max_index = Int64.sub i32_max 1L
@@ -231,51 +260,115 @@ let refine1 ((xlo, xhi) : interval) cond ((ylo, yhi) : interval) : interval =
   | Gt -> if ylo < i32_max then meet (xlo, xhi) (add ylo 1L, i32_max) else (xlo, xhi)
   | Ge -> meet (xlo, xhi) (ylo, i32_max)
 
-(** Pointwise join of [src] into [acc]. *)
-let join_into (acc : state) (src : state) =
-  for k = 0 to (Array.length src / 2) - 1 do
-    if src.(2 * k) < acc.(2 * k) then acc.(2 * k) <- src.(2 * k);
-    if src.((2 * k) + 1) > acc.((2 * k) + 1) then acc.((2 * k) + 1) <- src.((2 * k) + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Sparse states                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A compact state over a sorted register array [regs] has the layout of
+   a dense one with positions for registers: the interval of [regs.(k)]
+   is at [2k] and [2k + 1], so [sget]/[sset] read and write it by
+   position. *)
+
+(** Position of register [r] in the sorted array [regs], or [-1]. *)
+let index_of (regs : int array) r =
+  let lo = ref 0 and hi = ref (Array.length regs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if regs.(mid) < r then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length regs && regs.(!lo) = r then !lo else -1
+
+(** The tracked registers of [set], ascending. *)
+let tracked_array ~(tracked : bool array) set =
+  let count r n = if tracked.(r) then n + 1 else n in
+  let regs = Array.make (Sxe_util.Bitset.fold count set 0) 0 in
+  let add r k =
+    if tracked.(r) then begin
+      regs.(k) <- r;
+      k + 1
+    end
+    else k
+  in
+  ignore (Sxe_util.Bitset.fold add set 0);
+  regs
+
+(** Write the compact state [c] over [regs] into the dense state [st]. *)
+let scatter (st : state) (regs : int array) (c : state) =
+  for k = 0 to Array.length regs - 1 do
+    let r = regs.(k) in
+    st.(2 * r) <- c.(2 * k);
+    st.((2 * r) + 1) <- c.((2 * k) + 1)
   done
 
-(** [join_edge ~tracked ~first acc out term succ] joins into [acc] the
-    exit state [out] of a block ending in [term], improved with the facts
-    the branch guarantees on the edge to [succ]; [~first:true] overwrites
-    [acc] instead. Only the two compared registers differ from [out], so
-    the refined state is never materialised: their refined intervals are
-    computed from [out], and [acc] is patched at those two registers. *)
-let join_edge ~(tracked : bool array) ~first (acc : state) (out : state) term succ =
+(** Read the compact state [c] over [regs] out of the dense state [st]. *)
+let gather (st : state) (regs : int array) (c : state) =
+  for k = 0 to Array.length regs - 1 do
+    let r = regs.(k) in
+    c.(2 * k) <- st.(2 * r);
+    c.((2 * k) + 1) <- st.((2 * r) + 1)
+  done
+
+(** Reset the registers [regs] of the dense state [st] to [top]. *)
+let reset_top (st : state) (regs : int array) =
+  for k = 0 to Array.length regs - 1 do
+    let r = regs.(k) in
+    st.(2 * r) <- i32_min_int;
+    st.((2 * r) + 1) <- i32_max_int
+  done
+
+(** [join_edge ~tracked ~first acc ~into out ~from term succ] joins into
+    [acc], a compact state over [into] (the live-in registers of [succ]),
+    the exit state [out] over [from] of a block ending in [term], improved
+    with the facts the branch guarantees on the edge to [succ];
+    [~first:true] overwrites [acc] instead. [into] is a subset of [from]:
+    a register live into a successor is live out of its predecessor, so
+    one walk over both sorted arrays finds every position. Only the two
+    compared registers differ from [out], so the refined state is never
+    materialised: their refined intervals are computed from [out], and
+    [acc] is patched at those two registers where they are live. *)
+let join_edge ~(tracked : bool array) ~first (acc : state) ~into (out : state) ~from term succ
+    =
   let refined =
     match term with
     (* A taken-and-fallthrough pair to the same block teaches nothing. *)
     | Instr.Br { cond; l; r; w = W32; ifso; ifnot }
       when tracked.(l) && tracked.(r) && ifso <> ifnot ->
         let c = if succ = ifso then cond else Types.negate_cond cond in
-        let il = sget out l and ir = sget out r in
+        let il = sget out (index_of from l) and ir = sget out (index_of from r) in
         let l' = refine1 il c ir in
         (* [r] is refined after [l], as on a copy: when [l = r] it starts
            from [l'], and its write below overrides [l']'s *)
         let r' = refine1 (if r = l then l' else ir) (Types.swap_cond c) il in
-        Some (l, l', r, r')
+        Some (index_of into l, l', index_of into r, r')
     | _ -> None
   in
-  if first then begin
-    Array.blit out 0 acc 0 (Array.length out);
+  let before k = if k >= 0 then sget acc k else top in
+  let al, ar =
     match refined with
-    | Some (l, l', r, r') ->
-        sset acc l l';
-        sset acc r r'
-    | None -> ()
-  end
-  else
-    match refined with
-    | None -> join_into acc out
-    | Some (l, l', r, r') ->
-        let al = sget acc l and ar = sget acc r in
-        join_into acc out;
-        sset acc l (join al l');
-        sset acc r (join ar r')
-
+    | Some (kl, _, kr, _) when not first -> (before kl, before kr)
+    | _ -> (top, top)
+  in
+  let j = ref 0 in
+  for k = 0 to Array.length into - 1 do
+    while from.(!j) <> into.(k) do
+      incr j
+    done;
+    let lo = out.(2 * !j) and hi = out.((2 * !j) + 1) in
+    if first then begin
+      acc.(2 * k) <- lo;
+      acc.((2 * k) + 1) <- hi
+    end
+    else begin
+      if lo < acc.(2 * k) then acc.(2 * k) <- lo;
+      if hi > acc.((2 * k) + 1) then acc.((2 * k) + 1) <- hi
+    end
+  done;
+  match refined with
+  | Some (kl, l', kr, r') ->
+      if kl >= 0 then sset acc kl (if first then l' else join al l');
+      if kr >= 0 then sset acc kr (if first then r' else join ar r')
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                            *)
@@ -283,14 +376,19 @@ let join_edge ~(tracked : bool array) ~first (acc : state) (out : state) term su
 
 type t = {
   func : Cfg.func;
-  entry_states : state array;
+  live_in : int array array;
+      (** per block, the tracked registers live into it, sorted *)
+  entry_states : state array;  (** per block, a compact state over [live_in] *)
+  writes : int array array;
+      (** per block, the tracked registers its body writes: with
+          [live_in], every register a replay of the block sets *)
   tracked : bool array;
   call_ranges : (string -> interval option) option;
       (** kept so {!before}/{!after} replays see the same call facts the
           fixpoint did *)
   scratch : state;
-      (** the replay buffer of the queries, so a [t] must not be queried
-          from two domains at once *)
+      (** the dense replay buffer, [top] at every register between
+          replays, so a [t] must not be queried from two domains at once *)
 }
 
 let widen_threshold = 3
@@ -310,9 +408,6 @@ let collect_thresholds (f : Cfg.func) =
       | _ -> ())
     f;
   Array.of_list (List.map Int64.to_int (List.sort_uniq compare (List.filter in_i32 !acc)))
-
-let i32_min_int = Int64.to_int i32_min
-let i32_max_int = Int64.to_int i32_max
 
 (** The last widening step: every unstable bound jumps to the type's. *)
 let full_range = [| i32_min_int; i32_max_int |]
@@ -338,7 +433,8 @@ let threshold_above (thresholds : int array) x =
 (** Merge the join [fresh] into the entry state [cur] in place: a plain
     join for the first [widen_threshold] growing visits, then threshold
     widening, then — still climbing after several threshold hops — a jump
-    to the full range so convergence stays linear. *)
+    to the full range so convergence stays linear. Both are compact
+    states over the same registers; [fresh] may be longer. *)
 let merge_into ~visits ~thresholds (cur : state) (fresh : state) =
   let widen_with =
     if visits > (2 * widen_threshold) + 3 then Some full_range
@@ -355,21 +451,59 @@ let merge_into ~visits ~thresholds (cur : state) (fresh : state) =
         (match widen_with with Some ts -> threshold_above ts fresh.(hi) | None -> fresh.(hi))
   done
 
-(** [a] is more precise than or equal to [b]: pointwise containment. *)
+(** The first [Array.length b] words of [a] are pointwise contained in
+    [b]: [a] is more precise than or equal to [b]. *)
 let state_le (a : state) (b : state) =
   let rec go k =
     k < 0 || (a.(2 * k) >= b.(2 * k) && a.((2 * k) + 1) <= b.((2 * k) + 1) && go (k - 1))
   in
-  go ((Array.length a / 2) - 1)
+  go ((Array.length b / 2) - 1)
+
+(** The first [Array.length b] words of [a] equal [b]. *)
+let state_eq (a : state) (b : state) =
+  let rec go k = k < 0 || (a.(k) = b.(k) && go (k - 1)) in
+  go (Array.length b - 1)
 
 let compute ?call_ranges (f : Cfg.func) =
   let nregs = Cfg.num_regs f in
   let nblocks = Cfg.num_blocks f in
   let tracked = Array.init nregs (fun r -> Cfg.reg_ty f r = I32) in
-  let entry_states = Array.init nblocks (fun _ -> state_make nregs) in
-  let exit_states = Array.init nblocks (fun _ -> Array.make (2 * nregs) 0) in
+  let live = Liveness.compute f in
+  let live_in = Array.init nblocks (fun b -> tracked_array ~tracked (Liveness.live_in live b)) in
+  (* the terminator's operands stay in the exit state even when dead
+     after it: edge refinement reads them *)
+  let live_out =
+    Array.init nblocks (fun b ->
+        let set = Sxe_util.Bitset.copy (Liveness.live_out live b) in
+        List.iter (Sxe_util.Bitset.add set) (Instr.term_uses (Cfg.term (Cfg.block f b)));
+        tracked_array ~tracked set)
+  in
+  (* besides its definition, [transfer] writes the operand an array
+     access or allocation refines *)
+  let writes =
+    Array.init nblocks (fun b ->
+        let add acc r = if tracked.(r) then r :: acc else acc in
+        let step acc (i : Instr.t) =
+          let acc = Option.fold ~none:acc ~some:(add acc) (Instr.def i.op) in
+          match i.op with
+          | ArrLoad { idx; _ } | ArrStore { idx; _ } -> add acc idx
+          | NewArr { len; _ } -> add acc len
+          | _ -> acc
+        in
+        Array.of_list (List.fold_left step [] (Cfg.body (Cfg.block f b))))
+  in
+  let compact regs =
+    let st = Array.make (2 * Array.length regs) 0 in
+    fill_top st (Array.length regs);
+    st
+  in
+  let entry_states = Array.map compact live_in in
+  let exit_states = Array.map compact live_out in
   let exit_valid = Array.make nblocks false in
   let scratch = Array.make (2 * nregs) 0 in
+  fill_top scratch nregs;
+  (* the join of a visit, over the visited block's live-in registers *)
+  let fresh = Array.make (Array.fold_left (fun m st -> max m (Array.length st)) 0 entry_states) 0 in
   let preds = Cfg.preds f in
   let reach = Cfg.reachable f in
   let rpo = Cfg.rpo f in
@@ -386,8 +520,13 @@ let compute ?call_ranges (f : Cfg.func) =
   let out_state bid =
     let st = exit_states.(bid) in
     if not exit_valid.(bid) then begin
-      Array.blit entry_states.(bid) 0 st 0 (2 * nregs);
-      List.iter (fun i -> transfer ?call_ranges ~tracked st i) (Cfg.body (Cfg.block f bid));
+      scatter scratch live_in.(bid) entry_states.(bid);
+      List.iter
+        (fun i -> transfer ?call_ranges ~tracked scratch i)
+        (Cfg.body (Cfg.block f bid));
+      gather scratch live_out.(bid) st;
+      reset_top scratch live_in.(bid);
+      reset_top scratch writes.(bid);
       exit_valid.(bid) <- true
     end;
     st
@@ -400,17 +539,20 @@ let compute ?call_ranges (f : Cfg.func) =
     exit_valid.(bid) <- false;
     List.iter (fun s -> dirty.(s) <- true) (Cfg.succs (Cfg.block f bid))
   in
-  (* the join over the computed predecessors, into [scratch] *)
+  (* the join over the computed predecessors, into [fresh] *)
   let join_preds bid =
     let first = ref true in
     List.iter
       (fun p ->
         if reach.(p) && computed.(p) then begin
-          join_edge ~tracked ~first:!first scratch (out_state p) (Cfg.term (Cfg.block f p)) bid;
+          join_edge ~tracked ~first:!first fresh ~into:live_in.(bid) (out_state p)
+            ~from:live_out.(p)
+            (Cfg.term (Cfg.block f p))
+            bid;
           first := false
         end)
       preds.(bid);
-    if !first then set_top scratch
+    if !first then fill_top fresh (Array.length live_in.(bid))
   in
   let visit bid =
     let go = reach.(bid) && bid <> entry && dirty.(bid) in
@@ -432,14 +574,14 @@ let compute ?call_ranges (f : Cfg.func) =
         if visit bid then begin
           let cur = entry_states.(bid) in
           if not computed.(bid) then begin
-            Array.blit scratch 0 cur 0 (2 * nregs);
+            Array.blit fresh 0 cur 0 (Array.length cur);
             computed.(bid) <- true;
             entry_changed bid;
             changed := true
           end
-          else if not (state_le scratch cur) then begin
+          else if not (state_le fresh cur) then begin
             visits.(bid) <- visits.(bid) + 1;
-            merge_into ~visits:visits.(bid) ~thresholds cur scratch;
+            merge_into ~visits:visits.(bid) ~thresholds cur fresh;
             entry_changed bid;
             changed := true
           end
@@ -453,52 +595,54 @@ let compute ?call_ranges (f : Cfg.func) =
       (fun bid ->
         if visit bid then begin
           let cur = entry_states.(bid) in
-          if scratch <> cur then begin
-            Array.blit scratch 0 cur 0 (2 * nregs);
+          if not (state_eq fresh cur) then begin
+            Array.blit fresh 0 cur 0 (Array.length cur);
             entry_changed bid
           end
         end)
       rpo
   done;
-  { func = f; entry_states; tracked; call_ranges; scratch }
+  { func = f; live_in; entry_states; writes; tracked; call_ranges; scratch }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay block [bid] from its entry state into [t.scratch], stopping
-   just before instruction [upto] or just after [through] (pass [-1] for
-   neither). A stop missing from the block yields the state at its end. *)
-let replay t bid ~upto ~through =
-  let st = t.scratch in
-  Array.blit t.entry_states.(bid) 0 st 0 (Array.length st);
-  let rec go = function
-    | [] -> ()
-    | (i : Instr.t) :: rest ->
-        if i.iid <> upto then begin
-          transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
-          if i.iid <> through then go rest
-        end
-  in
-  go (Cfg.body (Cfg.block t.func bid));
-  st
-
-let untracked t r = r >= Array.length t.tracked || not t.tracked.(r)
+(* Replay block [bid] from its entry state in [t.scratch], stopping just
+   before instruction [upto] or just after [through] (pass [-1] for
+   neither), and read register [r] there. A stop missing from the block
+   yields the state at its end. The scratch is back to all-[top] after. *)
+let replay t bid ~upto ~through r : interval =
+  if r >= Array.length t.tracked || not t.tracked.(r) then top
+  else begin
+    let st = t.scratch in
+    scatter st t.live_in.(bid) t.entry_states.(bid);
+    let rec go = function
+      | [] -> ()
+      | (i : Instr.t) :: rest ->
+          if i.iid <> upto then begin
+            transfer ?call_ranges:t.call_ranges ~tracked:t.tracked st i;
+            if i.iid <> through then go rest
+          end
+    in
+    go (Cfg.body (Cfg.block t.func bid));
+    let lo = st.(2 * r) and hi = st.((2 * r) + 1) in
+    reset_top st t.live_in.(bid);
+    reset_top st t.writes.(bid);
+    (Int64.of_int lo, Int64.of_int hi)
+  end
 
 (** Range of register [r] immediately before instruction [iid] in block
     [bid]. *)
-let before t ~bid ~iid r =
-  if untracked t r then top else sget (replay t bid ~upto:iid ~through:(-1)) r
+let before t ~bid ~iid r = replay t bid ~upto:iid ~through:(-1) r
 
 (** Range of the value produced by instruction [iid] (which must define a
     tracked register), immediately after it. *)
-let after t ~bid ~iid r =
-  if untracked t r then top else sget (replay t bid ~upto:(-1) ~through:iid) r
+let after t ~bid ~iid r = replay t bid ~upto:(-1) ~through:iid r
 
 (** Range of register [r] at the end of block [bid], just before the
     terminator — the state a [Ret] observes. *)
-let at_exit t ~bid r =
-  if untracked t r then top else sget (replay t bid ~upto:(-1) ~through:(-1)) r
+let at_exit t ~bid r = replay t bid ~upto:(-1) ~through:(-1) r
 
 (** Does [r]'s 32-bit value lie within [lo, hi] just before [iid]? *)
 let within t ~bid ~iid r ~lo ~hi =

@@ -5,12 +5,25 @@
     whatever the upper half holds). Conditional branches refine ranges on
     their out-edges; array accesses refine their index (the paper's [LS]
     predicate); loops converge by threshold widening plus narrowing.
-    The fixpoint allocates each block's entry and exit state once and
-    updates them in place, skipping blocks whose predecessors' exits have
-    not changed since their last visit (exact; see the implementation
-    header). Queries replay the containing block from its entry state
-    into a buffer owned by the {!t}, so they allocate no state: a {!t}
-    must not be queried from two domains at once. *)
+
+    Block states are sparse: each block's entry state holds only the
+    tracked registers live into it ({!Liveness}), and its exit state
+    those live out of it plus the terminator's operands. The fixpoint
+    allocates them once and updates them in place, skipping blocks whose
+    predecessors' exits have not changed since their last visit (exact;
+    see the implementation header). Queries replay the containing block
+    from its entry state into a buffer owned by the {!t}, so they
+    allocate no state: a {!t} must not be queried from two domains at
+    once.
+
+    Two consequences of sparse states:
+    - a register not live into a block answers [top] there until the
+      block defines it, where a dense analysis would answer the join of
+      the predecessors. Registers live at the query point (an
+      instruction's operands and destination, a returned register)
+      answer as before;
+    - a block's visit counter, which schedules widening, grows only when
+      a register live into the block grows. *)
 
 type interval = int64 * int64
 
@@ -27,8 +40,10 @@ val binop_interval : Sxe_ir.Types.binop -> interval -> interval -> interval
 val unop_interval : Sxe_ir.Types.unop -> interval -> interval
 
 type state = int array
-(** A per-block state: the interval of register [r] is stored as native
-    ints, [lo] at [2r] and [hi] at [2r + 1]. *)
+(** A dense state, as {!transfer} reads and writes it: the interval of
+    register [r] is stored as native ints, [lo] at [2r] and [hi] at
+    [2r + 1]. (Block states are compact: the same layout over positions
+    in the block's live registers.) *)
 
 val transfer :
   ?call_ranges:(string -> interval option) ->
@@ -54,7 +69,8 @@ val compute : ?call_ranges:(string -> interval option) -> Sxe_ir.Cfg.func -> t
 
 val before : t -> bid:int -> iid:int -> Sxe_ir.Instr.reg -> interval
 (** Range of a register immediately before instruction [iid] of block
-    [bid]; [top] for untracked (non-I32) registers. *)
+    [bid]; [top] for untracked (non-I32) registers, and for registers
+    neither live into the block nor defined by it before [iid]. *)
 
 val after : t -> bid:int -> iid:int -> Sxe_ir.Instr.reg -> interval
 (** Range immediately after the instruction. *)

@@ -178,7 +178,8 @@ let next t : token * int =
                   | Some s -> raise (Error (Printf.sprintf "unexpected character %S" s, line))
                   | None -> (EOF, line)))))
 
-(** Tokenize the whole input. *)
+(** Tokenize the whole input. The parser does not use it: it pulls
+    tokens with {!next} as it needs them. *)
 let tokenize src =
   let t = create src in
   let rec go acc =

@@ -9,15 +9,34 @@ open Ast
 
 exception Error of string * int
 
+(* Tokens are lexed on demand, so the first error in source order is the
+   one reported, and a source that fails early is never lexed to its
+   end. The parser looks at most two tokens past the current one. *)
 type t = {
-  toks : (Lexer.token * int) array;
-  mutable k : int;
+  lex : Lexer.t;
+  look : (Lexer.token * int) array;  (** the current token and the next two *)
+  mutable lexed : int;  (** how many of [look] hold tokens *)
   mutable depth : int;  (** current nesting, see [max_depth] *)
 }
 
-let peek p = fst p.toks.(p.k)
-let line p = snd p.toks.(p.k)
-let advance p = if p.k < Array.length p.toks - 1 then p.k <- p.k + 1
+(* The token [n] places past the current one (at most 2), with its line.
+   Past the end the lexer answers [EOF] again, so advancing over [EOF]
+   stays there. *)
+let token p n =
+  while p.lexed <= n do
+    p.look.(p.lexed) <- Lexer.next p.lex;
+    p.lexed <- p.lexed + 1
+  done;
+  p.look.(n)
+
+let peek p = fst (token p 0)
+let peek_at p n = fst (token p n)
+let line p = snd (token p 0)
+
+let advance p =
+  ignore (token p 0);
+  Array.blit p.look 1 p.look 0 (Array.length p.look - 1);
+  p.lexed <- p.lexed - 1
 
 let err p msg = raise (Error (msg, line p))
 
@@ -81,7 +100,7 @@ let base_ty p =
   | _ -> err p "expected a type"
 
 let rec ty_suffix p t =
-  if is_punct p "[" && fst p.toks.(p.k + 1) = Lexer.PUNCT "]" then begin
+  if is_punct p "[" && peek_at p 1 = Lexer.PUNCT "]" then begin
     advance p;
     advance p;
     ty_suffix p (TArr t)
@@ -182,9 +201,9 @@ and unary p =
   | Lexer.PUNCT "!" ->
       advance p;
       mk ln (EUn (OBang, nested p unary))
-  | Lexer.PUNCT "(" when (match fst p.toks.(p.k + 1) with
+  | Lexer.PUNCT "(" when (match peek_at p 1 with
                           | Lexer.KW ("int" | "long" | "double" | "byte" | "short") ->
-                              fst p.toks.(p.k + 2) = Lexer.PUNCT ")"
+                              peek_at p 2 = Lexer.PUNCT ")"
                           | _ -> false) ->
       (* cast: "(" type ")" unary — array casts are not needed *)
       advance p;
@@ -254,7 +273,7 @@ and primary p =
       eat_punct p "[";
       let n1 = expr p in
       eat_punct p "]";
-      if is_punct p "[" && fst p.toks.(p.k + 1) <> Lexer.PUNCT "]" then begin
+      if is_punct p "[" && peek_at p 1 <> Lexer.PUNCT "]" then begin
         advance p;
         let n2 = expr p in
         eat_punct p "]";
@@ -411,8 +430,7 @@ and block_or_stmt p : stmt list = if is_punct p "{" then block p else [ stmt p ]
 (* -- top level ------------------------------------------------------- *)
 
 let parse_program src : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let p = { toks; k = 0; depth = 0 } in
+  let p = { lex = Lexer.create src; look = Array.make 3 (Lexer.EOF, 1); lexed = 0; depth = 0 } in
   let globals = ref [] and funcs = ref [] in
   let rec go () =
     match peek p with

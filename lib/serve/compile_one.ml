@@ -4,7 +4,7 @@ let arch_of_name n = List.assoc_opt n Sxe_core.Arch.names
 
 (* Bump on any pipeline change that can alter compiled output,
    certificates or emitted assembly; stale daemon caches key on it. *)
-let pipeline_rev = "sxe-pipeline-10"
+let pipeline_rev = "sxe-pipeline-11"
 
 type outcome = {
   prog : Sxe_ir.Prog.t;

@@ -283,6 +283,17 @@ let test_nesting_bound () =
     "7";
   check_out (Printf.sprintf "void main() { print_int(0%s); }" (rep 2_000 " + 1")) "2000"
 
+(* Tokens are lexed as the parser asks for them, so the nesting bound
+   fires at the 10 001st parenthesis, before the lexer ever reaches the
+   bad character at the end. *)
+let test_nesting_before_lex_error () =
+  let src = "void main() { print_int(" ^ String.make 100_000 '(' ^ "@" in
+  match Sxe_lang.Frontend.compile src with
+  | _ -> Alcotest.fail "expected a frontend error"
+  | exception Sxe_lang.Frontend.Error msg ->
+      Alcotest.(check string) "the first error in source order"
+        "parse error (line 1): nesting deeper than 10000 levels" msg
+
 let suite =
   [
     Alcotest.test_case "lexer" `Quick test_lexer;
@@ -300,4 +311,6 @@ let suite =
     Alcotest.test_case "scoping" `Quick test_scoping;
     Alcotest.test_case "lowering validates" `Quick test_lowering_validates;
     Alcotest.test_case "nesting bound" `Quick test_nesting_bound;
+    Alcotest.test_case "nesting error before a later lex error" `Quick
+      test_nesting_before_lex_error;
   ]

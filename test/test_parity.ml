@@ -1,8 +1,9 @@
 (** Parity of the allocation-free analyses with their reference
     implementations ({!Legacy}), and the allocation gate.
 
-    - Every [Range.before]/[after]/[at_exit] answer, for every block,
-      instruction and tracked register, equals the round-robin fixpoint's.
+    - Every [Range.before]/[after]/[at_exit] answer about a live tracked
+      register, for every block and instruction, equals the round-robin
+      fixpoint's; a register dead at a block's entry answers [top].
     - The printed IR after Step 2 equals the one Step 2 gives with the
       rebuild-every-round DCE and the copying local CSE.
     - [Summary]'s early exit publishes the table three blind rounds give.
@@ -22,14 +23,24 @@ let iv = Alcotest.(pair int64 int64)
 let tracked_regs (f : Cfg.func) =
   List.filter (fun r -> Cfg.reg_ty f r = Types.I32) (List.init (Cfg.num_regs f) Fun.id)
 
-(** Fail unless the two fixpoints answer every query on [f] alike. The
-    reference answers for every register come from one replay per block
-    of the reference entry states, which is what its queries compute one
-    register at a time. *)
+(** The tracked registers of a bit set, ascending. *)
+let tracked_of (f : Cfg.func) set =
+  List.filter (fun r -> Cfg.reg_ty f r = Types.I32) (Sxe_util.Bitset.elements set)
+
+(** Fail unless the two fixpoints answer alike every query about a live
+    register: before an instruction, the registers it uses and those live
+    after it that it does not define; after it, those live after it and
+    its destination; at a block's exit, those live out of it and the
+    terminator's operands. {!Range} answers [top] for a register not live
+    into the block until the block defines it, where the dense reference
+    answers its join. The reference answers come from one replay per
+    block of the reference entry states, which is what its queries
+    compute one register at a time. *)
 let check_range ?call_ranges ~what (f : Cfg.func) =
   let t = Range.compute ?call_ranges f in
   let o = Range_ref.compute ?call_ranges f in
-  let regs = tracked_regs f in
+  let live = Sxe_analysis.Liveness.compute f in
+  let tracked r = Cfg.reg_ty f r = Types.I32 in
   let check q bid iid r got want =
     if got <> want then
       Alcotest.check iv
@@ -40,23 +51,30 @@ let check_range ?call_ranges ~what (f : Cfg.func) =
     (fun b ->
       let bid = b.Cfg.bid in
       let st = Array.copy o.Range_ref.entry_states.(bid) in
-      List.iter
-        (fun (i : Instr.t) ->
-          let iid = i.Instr.iid in
+      let live_after = Sxe_analysis.Liveness.live_after_each live bid in
+      List.iter2
+        (fun (i : Instr.t) (iid, after) ->
+          assert (iid = i.Instr.iid);
+          let def = Instr.def i.Instr.op in
+          let live_before =
+            List.filter (fun r -> Some r <> def) (tracked_of f after)
+            @ List.filter tracked (Instr.uses i.Instr.op)
+          in
           List.iter
             (fun r ->
               check "before" bid iid r (Range.before t ~bid ~iid r) (Range_ref.sget st r))
-            regs;
+            live_before;
           Range.transfer ?call_ranges ~tracked:o.Range_ref.tracked st i;
           List.iter
             (fun r ->
               check "after" bid iid r (Range.after t ~bid ~iid r) (Range_ref.sget st r))
-            regs)
-        (Cfg.body b);
+            (tracked_of f after @ List.filter tracked (Option.to_list def)))
+        (Cfg.body b) live_after;
       List.iter
         (fun r ->
           check "at_exit" bid (-1) r (Range.at_exit t ~bid r) (Range_ref.at_exit o ~bid r))
-        regs)
+        (tracked_of f (Sxe_analysis.Liveness.live_out live bid)
+        @ List.filter tracked (Instr.term_uses (Cfg.term b))))
     f
 
 (** Fail unless Step 2 prints the same IR as the reference Step 2. *)
@@ -195,12 +213,28 @@ let huffman_main () =
   ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) p);
   Prog.find_func p "main"
 
+(** The budget scales with the live sets, not with [nblocks · nregs]: a
+    few words per live register at each block boundary (its place in a
+    register array and in an entry or exit state), plus four arrays of
+    up to [2·nregs + 1] words for the per-register tables, the dense
+    scratch state among them. The dense states this replaced took
+    105 378 words on Huffman [main], against a budget here of about
+    10 000. *)
 let test_allocation () =
   let f = huffman_main () in
   let nregs = Cfg.num_regs f and nblocks = Cfg.num_blocks f in
+  let live = Sxe_analysis.Liveness.compute f in
+  let live_words = ref 0 in
+  for b = 0 to nblocks - 1 do
+    live_words :=
+      !live_words
+      + Sxe_util.Bitset.cardinal (Sxe_analysis.Liveness.live_in live b)
+      + Sxe_util.Bitset.cardinal (Sxe_analysis.Liveness.live_out live b)
+      + 2
+  done;
   let t = ref (Range.compute f) in
   let words = major_direct_words (fun () -> t := Range.compute f) in
-  let budget = ((2 * nblocks) + 4) * ((2 * nregs) + 1) in
+  let budget = (4 * !live_words) + (4 * ((2 * nregs) + 1)) in
   if words > budget then
     Alcotest.failf "Range.compute on %s (%d regs, %d blocks): %d major words > %d" f.Cfg.name
       nregs nblocks words budget;
@@ -215,6 +249,103 @@ let test_allocation () =
   in
   Alcotest.(check int) "Range.before sweep: major words" 0 (major_direct_words sweep)
 
+(* Dead registers. *)
+
+module B = Builder
+
+let first_iid (f : Cfg.func) bid = (List.hd (Cfg.body (Cfg.block f bid))).Instr.iid
+
+(* [x] is dead at [B1]: the sparse fixpoint answers [top] there, where
+   the dense reference answers the join of the predecessors, [5]. *)
+let test_dead_register_top () =
+  let b, _ = B.create ~name:"f" ~params:[] ~ret:I32 () in
+  let x = B.iconst b 5 in
+  let b1 = B.new_block b in
+  B.jmp b b1;
+  B.switch b b1;
+  B.retv b I32 (B.iconst b 7);
+  let f = B.func b in
+  let t = Range.compute f and o = Range_ref.compute f in
+  let iid = first_iid f b1 in
+  Alcotest.check iv "reference: x before B1" (5L, 5L) (Range_ref.before o ~bid:b1 ~iid x);
+  (* a replay of B0 sets x; the next query must not see it *)
+  Alcotest.check iv "x after its definition" (5L, 5L) (Range.after t ~bid:0 ~iid:(first_iid f 0) x);
+  Alcotest.check iv "x before B1" Range.top (Range.before t ~bid:b1 ~iid x);
+  Alcotest.check iv "x at the exit of B1" Range.top (Range.at_exit t ~bid:b1 x);
+  Alcotest.check iv "x at the exit of B0" (5L, 5L) (Range.at_exit t ~bid:0 x)
+
+(* The first loop's counter [i] grows by 3 per iteration and the loop
+   exits on [j], so [i] leaves the loop unrefined and still climbing
+   through the threshold hops. It is dead at the second loop's header
+   [h2], whose own counter [k] settles within a few visits. The dense
+   reference counts each growth of [i] at [h2] as a growing visit of
+   [h2]; the sparse fixpoint does not, so its widening of [k] can come
+   later. Either the two agree at [h2]'s live registers, or the sparse
+   interval of [k] holds every value [k] takes there in a run. (They
+   agree: [k] is [0, 10] at [h2] in both, and the dead [i] is [top].) *)
+let dead_counter_func () =
+  let b, _ = B.create ~name:"f" ~params:[] ~ret:I32 () in
+  let zero = B.iconst b 0 and one = B.iconst b 1 and three = B.iconst b 3 in
+  let hundred = B.iconst b 100 and ten = B.iconst b 10 in
+  let i = B.mov b zero and j = B.mov b zero in
+  let h1 = B.new_block b and b1 = B.new_block b and x1 = B.new_block b in
+  let h2 = B.new_block b and b2 = B.new_block b and x2 = B.new_block b in
+  B.jmp b h1;
+  B.switch b h1;
+  B.br b Lt j hundred ~ifso:b1 ~ifnot:x1;
+  B.switch b b1;
+  B.binop_to b Add ~dst:i i three;
+  B.binop_to b Add ~dst:j j one;
+  B.jmp b h1;
+  B.switch b x1;
+  let k = B.mov b zero in
+  B.jmp b h2;
+  B.switch b h2;
+  (* a copy of [k] at the top of [h2], for the run to watch *)
+  let probe = B.mov b k in
+  B.br b Lt k ten ~ifso:b2 ~ifnot:x2;
+  B.switch b b2;
+  B.binop_to b Add ~dst:k k one;
+  B.jmp b h2;
+  B.switch b x2;
+  B.retv b I32 (B.add b k probe);
+  (B.func b, h2, i, k)
+
+let test_dead_counter_widening () =
+  let f, h2, i, k = dead_counter_func () in
+  let t = Range.compute f and o = Range_ref.compute f in
+  let iid = first_iid f h2 in
+  let live = Sxe_analysis.Liveness.compute f in
+  let live_regs = tracked_of f (Sxe_analysis.Liveness.live_in live h2) in
+  Alcotest.(check bool) "i is dead at h2" false (List.mem i live_regs);
+  Alcotest.check iv "dead i answers top at h2" Range.top (Range.before t ~bid:h2 ~iid i);
+  let differ =
+    List.filter (fun r -> Range.before t ~bid:h2 ~iid r <> Range_ref.before o ~bid:h2 ~iid r)
+      live_regs
+  in
+  if differ <> [] then begin
+    Alcotest.(check (list int)) "only k may differ at h2" [ k ] differ;
+    let seen = ref [] in
+    let p = Helpers.prog_of_func f in
+    let caller, _ = B.create ~name:"main" ~params:[] () in
+    (match B.call caller ~ret:I32 "f" [] with
+    | Some r -> ignore (B.call caller "checksum" [ (r, I32) ])
+    | None -> assert false);
+    B.ret caller;
+    Prog.add_func p (B.func caller);
+    p.Prog.main <- "main";
+    let watch fn w v = if fn = "f" && w = iid then seen := v :: !seen in
+    let out = Sxe_vm.Interp.run ~mode:`Canonical ~watch p in
+    Alcotest.(check bool) "the run ends normally" true (out.Sxe_vm.Interp.trap = None);
+    let lo, hi = Range.before t ~bid:h2 ~iid k in
+    Alcotest.(check int) "k reaches h2 eleven times" 11 (List.length !seen);
+    List.iter
+      (fun v ->
+        let v = Sxe_ir.Eval.sext32 v in
+        if v < lo || v > hi then Alcotest.failf "k = %Ld at h2, outside (%Ld, %Ld)" v lo hi)
+      !seen
+  end
+
 let suite =
   [
     Alcotest.test_case "workloads x variants: range and step 2 parity" `Slow test_workloads;
@@ -222,4 +353,7 @@ let suite =
     Alcotest.test_case "allocation: Range.compute and queries" `Quick test_allocation;
     QCheck_alcotest.to_alcotest prop_random_ir;
     QCheck_alcotest.to_alcotest prop_mutated_ir;
+    Alcotest.test_case "a dead register answers top" `Quick test_dead_register_top;
+    Alcotest.test_case "dead counter growing at a settled loop header" `Quick
+      test_dead_counter_widening;
   ]
