@@ -570,32 +570,35 @@ let fuzz_cmd =
 (* -- bench ----------------------------------------------------------------- *)
 
 let bench_cmd =
-  let doc = "Interpreter measurements: per-opcode-pair dispatch histograms." in
+  let doc = "Interpreter measurements: exact dispatch counts per opcode and opcode pair." in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Compiles each selected workload under the selected optimizer variant, \
-         executes it on the pre-decoded engine with dispatch-pair profiling \
-         enabled, and dumps the per-opcode-pair histogram as JSON — the \
+         executes it on the pre-decoded engine with dispatch profiling \
+         enabled, and dumps JSON per workload: the total dispatches, the \
+         dispatches per opcode (with each opcode's width, the instructions \
+         one dispatch executes) and the per-opcode-pair histogram — the \
          evidence base for choosing superinstruction fusion rules (see \
          docs/VM.md, Superinstructions). Pairs are counted for straight-line \
          adjacency only, so every reported pair is a fusion candidate. The \
-         full table/figure benchmarks live in bench/main.exe.";
+         workloads are the registry programs and the extras. The full \
+         table/figure benchmarks live in bench/main.exe.";
     ]
   in
   let dispatch_arg =
     Arg.(
       value & flag
       & info [ "dispatch-counts" ]
-          ~doc:"Dump the per-opcode-pair dispatch histogram as JSON.")
+          ~doc:"Dump the dispatch counts and the per-opcode-pair histogram as JSON.")
   in
   let workload_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Restrict to one registry workload (default: all).")
+          ~doc:"Restrict to one workload (default: the registry and the extras).")
   in
   let scale_arg =
     Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Workload scale factor.")
@@ -631,9 +634,18 @@ let bench_cmd =
           exit 2
     in
     let ws =
+      let all = Sxe_workloads.Registry.all ~scale () @ Sxe_workloads.Registry.extras ~scale () in
       match workload with
-      | Some name -> [ Sxe_workloads.Registry.find ~scale name ]
-      | None -> Sxe_workloads.Registry.all ~scale ()
+      | None -> all
+      | Some name -> (
+          let is_name (w : Sxe_workloads.Registry.t) =
+            String.lowercase_ascii w.name = String.lowercase_ascii name
+          in
+          match List.find_opt is_name all with
+          | Some w -> [ w ]
+          | None ->
+              Printf.eprintf "error: unknown workload %s\n" name;
+              exit 2)
     in
     let config = config_of ~arch ~maxlen variant in
     let items =
@@ -648,12 +660,21 @@ let bench_cmd =
           in
           let pairs = Sxe_vm.Precode.dispatch_counts prof in
           let pairs = if top > 0 then List.filteri (fun i _ -> i < top) pairs else pairs in
+          let ops = Sxe_vm.Precode.dispatch_ops prof in
           ( w.name,
             Json.Obj
               [
                 ("executed", Json.Int out.Sxe_vm.Interp.executed);
                 ( "trap",
                   Option.fold ~none:Json.Null ~some:(fun t -> Json.Str t) out.Sxe_vm.Interp.trap );
+                ("dispatches", Json.of_int (List.fold_left (fun a (_, _, c) -> a + c) 0 ops));
+                ( "ops",
+                  Json.Arr
+                    (List.map
+                       (fun (op, width, c) ->
+                         Json.Obj
+                           [ ("op", Json.Str op); ("width", Json.of_int width); ("count", Json.of_int c) ])
+                       ops) );
                 ( "pairs",
                   Json.Arr
                     (List.map

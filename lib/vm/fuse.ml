@@ -1,7 +1,7 @@
 (** Superinstruction-fusion gating.
 
     The pre-decoded engine ({!Precode}) can rewrite hot adjacent
-    instruction pairs/triples into fused superinstruction opcodes at
+    instruction pairs into fused superinstruction opcodes at
     decode time (see [docs/VM.md], "Superinstructions"). Which fusion
     rules fire is a per-run {!selection}:
 
@@ -18,14 +18,17 @@
 type selection = All | Off | Rules of string list
 
 (** The fusion rules {!Precode} implements, in match priority order.
-    The set is profile-guided: these are the hottest straight-line
-    dispatch pairs measured by [sxopt bench --dispatch-counts] on the
-    table-1 workloads (compress's loop-step block is
-    [Const; Add; Mov; Jmp] and its probe condition is [ArrLoad; Br];
-    Numeric Sort adds [Const]-fed multiplies and [Sext W32]-fed array
-    addressing). [cmp-br] also matches a triple; the rest are pairs:
-    - [cmp-br]: [Cmp] + [Br] on the result — and the triple
-      [Cmp] + [Const 0] + [Br], MiniJ's lowering of [if (flag)]
+    The set is profile-guided and pruned by measurement: these are the
+    hot straight-line dispatch pairs measured by
+    [sxopt bench --dispatch-counts] on the 24 workloads (compress's
+    loop-step block is [Const; Add; Mov; Jmp] and its probe condition is
+    [ArrLoad; Br]; Numeric Sort adds [Const]-fed multiplies and
+    [Sext W32]-fed array addressing), and every rule has static hits on
+    them. Shapes that saved no dispatches, or too few to matter, were
+    deleted (the ledger is in EXPERIMENTS.md, "Superinstruction
+    fusion"); in particular there is no compare-and-branch rule: MiniJ
+    lowers an integer condition to a [Br] on its operands, so no [Cmp]
+    feeds the [Br] after it. All rules are pairs:
     - [const-br]: [Const] + [Br] reading the just-written constant
     - [load-br]: [ArrLoad] + [Br] reading the loaded value
     - [mov-jmp]: [Mov] + [Jmp] — a loop-step block's tail
@@ -36,35 +39,28 @@ type selection = All | Off | Rules of string list
       immediately reloaded (Numeric Sort's seed update)
     - [sext-load]: [Sext W32] + [ArrLoad] — index extend + array address
     - [load-sext]: [ArrLoad] + [Sext] re-extending the loaded value
-    - [zext-load]: [Zext] + [ArrLoad] — unsigned index mask + array
-      address (the byte-histogram idiom)
-    - [load-zext]: [ArrLoad] + [Zext] truncating the loaded value
     - [const-arith]: [Const] + any int binop consuming it (arithmetic,
       bitwise, shifts, division)
-    - [add-store]: [Add] + [ArrStore] consuming the sum
     - [load-load], [load-store], [store-store]: adjacent array
       accesses (Numeric Sort's element swaps)
     - [chain]: a second pass, iterated to fixpoint, merging a fused
       group with the group that follows it — [ConstBin]+[ConstBin],
-      [ConstBin]+[Br], [ConstBin]+[MovJmp] (compress's whole loop-step
-      block, [Const; Add; Mov; Jmp], in one dispatch),
-      [ArrStore]+[MovJmp], the block-shaped Numeric Sort chains
-      ([BinBin]+[Br], [BinBin]+[MovBr], [ArrLoad]+[SextLoad](+[Br]),
+      [ConstBin]+[MovJmp] (compress's whole loop-step block,
+      [Const; Add; Mov; Jmp], in one dispatch), [ArrStore]+[MovJmp],
+      the block-shaped Numeric Sort chains ([BinBin]+[Br],
+      [BinBin]+[MovBr], [ArrLoad]+[SextLoad](+[Br]),
       [SextLoad]+[ConstBin](+[LoadBr]), [LoadLoad]+[StoreStore]
       (+[MovJmp])), and the sign-extension and rnd-body chains
       ([ConstBin]+[Sext W32] re-extending the result (+[MovJmp]),
-      [Sext W32]+[MovJmp], [GLoad I32]+[BinBin], [BinBin]+[Ret] —
-      together these run Numeric Sort's three-line random-number
-      generator, twelve plain instructions, in three dispatches).
-      Chained groups forward values between constituents in locals and
-      elide register-file writes that liveness proves dead at the end
-      of the group. *)
+      [Sext W32]+[MovJmp], [GLoad I32]+[BinBin]). Chained groups
+      forward values between constituents in locals and elide
+      register-file writes that liveness proves dead at the end of the
+      group. *)
 let rule_names =
   [
-    "cmp-br"; "const-br"; "load-br"; "mov-jmp"; "mov-br"; "store-jmp";
-    "const-jmp"; "gstore-gload"; "sext-load"; "load-sext"; "zext-load";
-    "load-zext"; "const-arith"; "add-store"; "load-load"; "load-store";
-    "store-store"; "chain";
+    "const-br"; "load-br"; "mov-jmp"; "mov-br"; "store-jmp"; "const-jmp";
+    "gstore-gload"; "sext-load"; "load-sext"; "const-arith"; "load-load";
+    "load-store"; "store-store"; "chain";
   ]
 
 let is_rule n = List.mem n rule_names

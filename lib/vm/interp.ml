@@ -176,7 +176,10 @@ let rec exec_func st fname (args : varg list) : varg option =
         (match from with
         | W32 -> st.zext32 <- Int64.add st.zext32 1L
         | _ -> st.zext_sub <- Int64.add st.zext_sub 1L);
-        ri.(r) <- Eval.zext_from from ri.(r)
+        (* canonical mode re-extends, as after every other I32
+           definition: on the 32-bit machine [zextend32] leaves the
+           32-bit value unchanged *)
+        set_i r (Eval.zext_from from ri.(r))
     | Instr.JustExt _ -> () (* marker: no code, no effect *)
     | Instr.FBinop { dst; op; l; r } -> rf.(dst) <- Eval.fbinop op rf.(l) rf.(r)
     | Instr.FNeg { dst; src } -> rf.(dst) <- -.rf.(src)

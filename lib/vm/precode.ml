@@ -146,10 +146,10 @@ let builtin_names =
 (* ------------------------------------------------------------------ *)
 
 (** Shared decoded payloads. Control transfers and array accesses appear
-    both as plain opcodes and as tails of fused superinstructions, so
-    their fields live in named records and each is executed by exactly
-    one helper in [exec] — the fused handlers cannot drift from the
-    plain ones. *)
+    both as plain opcodes and as constituents of fused superinstructions,
+    so their fields live in named records. Where no value is forwarded,
+    the plain and the fused handlers run the same helper ([arr_load],
+    [arr_store], [jump_to], [branch_to]), so they cannot drift apart. *)
 type jm = {
   joff : int;  (** flat target offset; -1 = outside the function *)
   jsrc : int;  (** source bid, for the profile edge *)
@@ -263,7 +263,8 @@ type pi =
   | PCmp of { dst : int; cond : cond; w64 : bool; l : int; r : int }
   | PSext32 of { r : int }
   | PSextSub of { r : int; sh : int }  (** shift-in/out amount: 56, 48 or 0 *)
-  | PZext of { r : int; mask : int64 }
+  | PZext of { r : int; mask : int64; ext : bool }
+      (** [ext]: canonical re-extension, as for every I32 definition *)
   | PFAdd of { dst : int; l : int; r : int }
   | PFSub of { dst : int; l : int; r : int }
   | PFMul of { dst : int; l : int; r : int }
@@ -312,49 +313,19 @@ type pi =
   | PRetI of { r : int }
   | PRetF of { r : int }
   (* Fused superinstructions (see [fuse_code]). Each constructor holds
-     the decoded fields of the adjacent pair/triple it replaces; [c2]
-     ([c3]) is the second (third) constituent's static cost, captured
-     from the decoder's cost table, so the fused handlers tick, check
-     fuel and charge per constituent exactly as the plain opcodes do.
+     the decoded fields of the adjacent pair it replaces; [c2] is the
+     second constituent's static cost, captured from the decoder's cost
+     table, so the fused handlers tick, check fuel and charge per
+     constituent exactly as the plain opcodes do.
 
      The [w*] flags are liveness facts computed at fuse time: [wdst]
-     (resp. [wd1], [wd2], [wsr]) is false when the intermediate register
+     (resp. [wd1], [wsr]) is false when the intermediate register
      written by that constituent is dead after the group — overwritten
      within it, or not live out of the block — in which case the handler
      skips the write and forwards the value locally. Registers are not
      observable in a precode outcome (no trace/watch here; traps carry no
      register state), so eliding a dead intermediate write is invisible. *)
-  | PCmpBr of {
-      dst : int;
-      cond : cond;
-      w64 : bool;
-      l : int;
-      r : int;
-      wdst : bool;
-      c2 : int;
-      b : br;
-    }
-  | PCmpConstBr of {
-      dst : int;
-      cond : cond;
-      w64 : bool;
-      l : int;
-      r : int;
-      wdst : bool;
-      d2 : int;
-      v2 : int64;
-      wd2 : bool;
-      c2 : int;
-      c3 : int;
-      t1 : bool;  (** branch taken when the compare holds *)
-      t0 : bool;  (** branch taken when it does not *)
-      b : br;
-    }
-      (** only fused when both branch operands are produced inside the
-          group ([dst]/[d2]), so the outcome is a fuse-time function of
-          the compare bit: [t1]/[t0] *)
-  | PConstBr of { d1 : int; v : int64; cvi : int; wd1 : bool; c2 : int; b : br }
-      (** [cvi] = [sx32 v], the constant's native-int 32-bit image *)
+  | PConstBr of { d1 : int; v : int64; wd1 : bool; c2 : int; b : br }
   | PLoadBr of { ld : ald; wdst : bool; c2 : int; b : br }
   | PMovJmp of mvj
   | PStoreJmp of { s : ast; c2 : int; j : jm }
@@ -365,25 +336,7 @@ type pi =
   | PLoadSext of { ld : ald; c2 : int; xr : int; sh : int }
       (** [sh = -1]: 32-bit re-extension (counts [sext32]); otherwise the
           [SextSub] shift amount (counts [sext_sub]) *)
-  | PZextLoad of { zr : int; mask : int64; wzr : bool; c2 : int; ld : ald }
-      (** [Zext] + [ArrLoad] indexed by the just-zeroed register: after
-          the mask the full register equals its low-32 image whenever the
-          signed image is non-negative, so the wild-access check can
-          never fire and the bounds test alone suffices *)
-  | PLoadZext of { ld : ald; c2 : int; xr : int; mask : int64 }
-      (** [ArrLoad] + [Zext] truncating the loaded value
-          ([xr = ld.ldst]); [mask = 0xFFFF_FFFF] counts [zext32],
-          narrower masks count [zext_sub] *)
   | PConstBin of cbin
-  | PAddStore of {
-      dst : int;
-      l : int;
-      r : int;
-      ext : bool;
-      wdst : bool;
-      c2 : int;
-      s : ast;
-    }
   | PLoadLoad of { l1 : ald; c2 : int; l2 : ald }
   | PLoadStore of { ld : ald; c2 : int; s : ast }
   | PStoreStore of { s1 : ast; c2 : int; s2 : ast }
@@ -393,7 +346,6 @@ type pi =
      positions — a skipped write is dead downstream, so the chained tail
      never reads it; [hb]/[hm]/[cb] is the second group's head cost. *)
   | PBinBin of bb
-  | PBinBr of { a : cbin; xw : bool; cb : int; sbl : int; sbr : int; b : br }
   | PBinMovJmp of { a : cbin; xw : bool; hm : int; smv : int; m : mvj }
   | PStoreMovJmp of { s : ast; hm : int; m : mvj }
   (* Block-shaped superinstructions: a chained group covering a whole
@@ -536,9 +488,6 @@ type pi =
       sar : int;
       bb : bb;  (** [bb]'s 0-source codes may be upgraded to 6 as well *)
     }
-  | PBinBinRet of { bb : bb; cr : int; r : int; sr : int }
-      (** [sr]: return-value source — 0 reg file, 1/2 bin results,
-          3/4 constants *)
 
 type pfunc = {
   fname : string;
@@ -559,8 +508,10 @@ let fused_total p = List.fold_left (fun a (_, n) -> a + n) 0 p.fstats
 
 (* Small dense ids for every decoded opcode, fused superinstructions
    included. The histogram ([Profile.pairs]) is a flat [nops * nops]
-   array indexed by [first * nops + second]; [op_name] is the reporting
-   side. Keep the three in sync when adding an opcode. *)
+   array indexed by [first * nops + second], the per-opcode dispatch
+   counts ([Profile.ops]) an [nops] array; [op_name] is the reporting
+   side. Keep [op_id] and the two name tables in sync when adding an
+   opcode. *)
 
 let op_id = function
   | PNop -> 0
@@ -615,43 +566,37 @@ let op_id = function
   | PRet0 -> 49
   | PRetI _ -> 50
   | PRetF _ -> 51
-  | PCmpBr _ -> 52
-  | PCmpConstBr _ -> 53
-  | PConstBr _ -> 54
-  | PLoadBr _ -> 55
-  | PMovJmp _ -> 56
-  | PSextLoad _ -> 57
-  | PLoadSext _ -> 58
-  | PConstBin _ -> 59
-  | PAddStore _ -> 60
-  | PLoadLoad _ -> 61
-  | PLoadStore _ -> 62
-  | PStoreStore _ -> 63
-  | PBinBin _ -> 64
-  | PBinBr _ -> 65
-  | PBinMovJmp _ -> 66
-  | PStoreMovJmp _ -> 67
-  | PMovBr _ -> 68
-  | PBinBinBr _ -> 69
-  | PBinBinMovBr _ -> 70
-  | PLoadSxLoad _ -> 71
-  | PLoadSxLoadBr _ -> 72
-  | PSxLoadBin _ -> 73
-  | PSxLoadBinLoadBr _ -> 74
-  | PLoad2Store2 _ -> 75
-  | PSwapJmp _ -> 76
-  | PStoreJmp _ -> 77
-  | PConstJmp _ -> 78
-  | PBinSext _ -> 79
-  | PBinSextMovJmp _ -> 80
-  | PSextMovJmp _ -> 81
-  | PGStoreGLoad _ -> 82
-  | PGLoadBinBin _ -> 83
-  | PBinBinRet _ -> 84
-  | PZextLoad _ -> 85
-  | PLoadZext _ -> 86
+  | PConstBr _ -> 52
+  | PLoadBr _ -> 53
+  | PMovJmp _ -> 54
+  | PStoreJmp _ -> 55
+  | PSextLoad _ -> 56
+  | PLoadSext _ -> 57
+  | PConstBin _ -> 58
+  | PLoadLoad _ -> 59
+  | PLoadStore _ -> 60
+  | PStoreStore _ -> 61
+  | PBinBin _ -> 62
+  | PBinMovJmp _ -> 63
+  | PStoreMovJmp _ -> 64
+  | PMovBr _ -> 65
+  | PBinBinBr _ -> 66
+  | PBinBinMovBr _ -> 67
+  | PLoadSxLoad _ -> 68
+  | PLoadSxLoadBr _ -> 69
+  | PSxLoadBin _ -> 70
+  | PSxLoadBinLoadBr _ -> 71
+  | PLoad2Store2 _ -> 72
+  | PSwapJmp _ -> 73
+  | PBinSext _ -> 74
+  | PBinSextMovJmp _ -> 75
+  | PSextMovJmp _ -> 76
+  | PGStoreGLoad _ -> 77
+  | PGLoadBinBin _ -> 78
+  | PConstJmp _ -> 79
 
-let op_names =
+(* Plain opcodes, ids [0 .. 51]: each covers one flat slot. *)
+let plain_names =
   [|
     "Nop"; "ConstI"; "ConstF"; "MovI"; "MovF"; "NegI"; "NotI"; "Add"; "Sub";
     "Mul"; "And"; "Or"; "Xor"; "Shl"; "AShr"; "LShr"; "Div"; "Rem"; "Cmp";
@@ -659,17 +604,37 @@ let op_names =
     "FCmp"; "ItoF"; "D2I"; "D2L"; "NewArr"; "ArrLoad"; "ArrStore"; "ArrLen";
     "GLoadF"; "GLoadI32"; "GLoadI"; "GStoreF"; "GStoreI32"; "GStoreI";
     "PrintI"; "PrintF"; "CheckI"; "CheckF"; "TrapOp"; "CallUser"; "Jmp";
-    "Br"; "Ret0"; "RetI"; "RetF"; "CmpBr"; "CmpConstBr"; "ConstBr"; "LoadBr";
-    "MovJmp"; "SextLoad"; "LoadSext"; "ConstBin"; "AddStore"; "LoadLoad";
-    "LoadStore"; "StoreStore"; "BinBin"; "BinBr"; "BinMovJmp"; "StoreMovJmp";
-    "MovBr"; "BinBinBr"; "BinBinMovBr"; "LoadSxLoad"; "LoadSxLoadBr";
-    "SxLoadBin"; "SxLoadBinLoadBr"; "Load2Store2"; "SwapJmp"; "StoreJmp";
-    "ConstJmp"; "BinSext"; "BinSextMovJmp"; "SextMovJmp"; "GStoreGLoad";
-    "GLoadBinBin"; "BinBinRet"; "ZextLoad"; "LoadZext";
+    "Br"; "Ret0"; "RetI"; "RetF";
   |]
 
-let nops = Array.length op_names
-let op_name id = if id >= 0 && id < nops then op_names.(id) else "?"
+(* Fused superinstructions, ids from 52 on, with the number of flat
+   slots each covers (its constituent count; the handler steps [pc] by
+   this much). *)
+let fused_ops =
+  [|
+    ("ConstBr", 2); ("LoadBr", 2); ("MovJmp", 2); ("StoreJmp", 2);
+    ("SextLoad", 2); ("LoadSext", 2); ("ConstBin", 2); ("LoadLoad", 2);
+    ("LoadStore", 2); ("StoreStore", 2); ("BinBin", 4); ("BinMovJmp", 4);
+    ("StoreMovJmp", 3); ("MovBr", 2); ("BinBinBr", 5); ("BinBinMovBr", 6);
+    ("LoadSxLoad", 3); ("LoadSxLoadBr", 4); ("SxLoadBin", 4);
+    ("SxLoadBinLoadBr", 6); ("Load2Store2", 4); ("SwapJmp", 6);
+    ("BinSext", 3); ("BinSextMovJmp", 5); ("SextMovJmp", 3);
+    ("GStoreGLoad", 2); ("GLoadBinBin", 5); ("ConstJmp", 2);
+  |]
+
+let nplain = Array.length plain_names
+let nops = nplain + Array.length fused_ops
+
+let op_name id =
+  if id >= 0 && id < nplain then plain_names.(id)
+  else if id >= nplain && id < nops then fst fused_ops.(id - nplain)
+  else "?"
+
+let op_width id = if id >= nplain && id < nops then snd fused_ops.(id - nplain) else 1
+
+(** How many flat slots a decoded op covers: 1 for plain ops, the
+    constituent count for fused superinstructions. *)
+let group_width op = op_width (op_id op)
 
 (** Enable dispatch-pair collection on [prof] with this engine's opcode
     id space. *)
@@ -682,32 +647,20 @@ let enable_dispatch prof = Profile.enable_pairs prof ~nops
 let dispatch_counts (prof : Profile.t) : ((string * string) * int) list =
   List.map (fun ((a, b), c) -> ((op_name a, op_name b), c)) (Profile.pair_counts prof)
 
-(** How many flat slots a decoded op covers: 1 for plain ops, the
-    constituent count for fused superinstructions (their handlers step
-    [pc] by this much). *)
-let group_width = function
-  | PCmpConstBr _ | PBinBr _ | PStoreMovJmp _ | PLoadSxLoad _ | PBinSext _
-  | PSextMovJmp _ ->
-      3
-  | PCmpBr _ | PConstBr _ | PLoadBr _ | PMovJmp _ | PMovBr _ | PSextLoad _
-  | PLoadSext _ | PZextLoad _ | PLoadZext _ | PConstBin _ | PAddStore _
-  | PLoadLoad _ | PLoadStore _ | PStoreStore _ | PStoreJmp _ | PConstJmp _
-  | PGStoreGLoad _ ->
-      2
-  | PBinBin _ | PBinMovJmp _ | PLoadSxLoadBr _ | PSxLoadBin _ | PLoad2Store2 _
-    ->
-      4
-  | PBinBinBr _ | PBinSextMovJmp _ | PGLoadBinBin _ | PBinBinRet _ -> 5
-  | PBinBinMovBr _ | PSxLoadBinLoadBr _ | PSwapJmp _ -> 6
-  | _ -> 1
+(** Dispatches per opcode as [(name, width, count)], count descending:
+    every dispatch is counted, control transfers included, so the counts
+    sum to the run's dispatches and [Σ width × count] to its [executed]
+    counter (unless fuel ran out inside a fused group). *)
+let dispatch_ops (prof : Profile.t) : (string * int * int) list =
+  List.map (fun (id, c) -> (op_name id, op_width id, c)) (Profile.op_counts prof)
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction fusion                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Peephole pass over the freshly laid-out [code]/[costs] arrays: rewrite
-   hot adjacent pairs/triples into fused opcodes. The rewrite is
-   in-place and head-anchored — slot [i] becomes the fused opcode and
+   hot adjacent pairs into fused opcodes. The rewrite is in-place and
+   head-anchored — slot [i] becomes the fused opcode and
    the constituent slots [i+1 ..] keep their original contents, which
    simply become unreachable (the fused handler jumps past them), so
    every flat jump offset in the function stays valid. A group never
@@ -761,64 +714,11 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
   let free k = k < n && not is_start.(k) in
   let i = ref 0 in
   while !i < n do
-    let i1 = !i + 1 and i2 = !i + 2 in
+    let i1 = !i + 1 in
     let w =
       if not (free i1) then 1
       else
         match (code.(!i), code.(i1)) with
-        | PCmp { dst; cond; w64; l; r }, PConstI { dst = d2; v = v2 }
-          when on "cmp-br" && free i2 -> (
-            match code.(i2) with
-            | PBr b
-              when (b.bl = dst || b.bl = d2) && (b.brx = dst || b.brx = d2) ->
-                (* both branch operands are produced inside the group, so
-                   the taken edge is a fuse-time function of the compare
-                   bit (the constant shadows the compare when [d2 = dst]) *)
-                let taken bi =
-                  let v_of reg =
-                    if reg = d2 then v2 else if bi then 1L else 0L
-                  in
-                  let lv = v_of b.bl and rv = v_of b.brx in
-                  if b.bw64 then holds b.bcond (Int64.compare lv rv)
-                  else iholds b.bcond (sx32 lv) (sx32 rv)
-                in
-                code.(!i) <-
-                  PCmpConstBr
-                    {
-                      dst;
-                      cond;
-                      w64;
-                      l;
-                      r;
-                      wdst = dst <> d2 && Bitset.mem la.(i2) dst;
-                      d2;
-                      v2;
-                      wd2 = Bitset.mem la.(i2) d2;
-                      c2 = costs.(i1);
-                      c3 = costs.(i2);
-                      t1 = taken true;
-                      t0 = taken false;
-                      b;
-                    };
-                hit "cmp-br";
-                3
-            | _ -> 1)
-        | PCmp { dst; cond; w64; l; r }, PBr b
-          when on "cmp-br" && (b.bl = dst || b.brx = dst) ->
-            code.(!i) <-
-              PCmpBr
-                {
-                  dst;
-                  cond;
-                  w64;
-                  l;
-                  r;
-                  wdst = Bitset.mem la.(i1) dst;
-                  c2 = costs.(i1);
-                  b;
-                };
-            hit "cmp-br";
-            2
         | PConstI { dst = d1; v }, PBr b
           when on "const-br" && (b.bl = d1 || b.brx = d1) ->
             code.(!i) <-
@@ -826,7 +726,6 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                 {
                   d1;
                   v;
-                  cvi = sx32 v;
                   wd1 = Bitset.mem la.(i1) d1;
                   c2 = costs.(i1);
                   b;
@@ -870,11 +769,6 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
           when on "load-sext" && r = ld.ldst ->
             code.(!i) <- PLoadSext { ld; c2 = costs.(i1); xr = r; sh };
             hit "load-sext";
-            2
-        | PArrLoad ld, PZext { r; mask }
-          when on "load-zext" && r = ld.ldst ->
-            code.(!i) <- PLoadZext { ld; c2 = costs.(i1); xr = r; mask };
-            hit "load-zext";
             2
         | PMovI { dst; src; ext }, PJmp j when on "mov-jmp" ->
             code.(!i) <-
@@ -943,36 +837,6 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                   ld;
                 };
             hit "sext-load";
-            2
-        | PZext { r; mask }, PArrLoad ld
-          when on "zext-load" && ld.lidx = r && ld.larr <> r ->
-            (* same aliasing guard as [sext-load]: the handler substitutes
-               the masked index locally *)
-            code.(!i) <-
-              PZextLoad
-                {
-                  zr = r;
-                  mask;
-                  wzr = r <> ld.ldst && Bitset.mem la.(i1) r;
-                  c2 = costs.(i1);
-                  ld;
-                };
-            hit "zext-load";
-            2
-        | PAdd { dst; l; r; ext }, PArrStore s
-          when on "add-store" && (s.ssrc = dst || s.sidx = dst) ->
-            code.(!i) <-
-              PAddStore
-                {
-                  dst;
-                  l;
-                  r;
-                  ext;
-                  wdst = Bitset.mem la.(i1) dst;
-                  c2 = costs.(i1);
-                  s;
-                };
-            hit "add-store";
             2
         | PArrLoad l1, PArrLoad l2 when on "load-load" ->
             code.(!i) <- PLoadLoad { l1; c2 = costs.(i1); l2 };
@@ -1079,23 +943,6 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                     };
                 hit "chain";
                 4
-            | PConstBin a, PBr b ->
-                let e = ih2 in
-                let sb q =
-                  if q = a.dst then 1 else if q = a.d1 then 3 else 0
-                in
-                code.(!i) <-
-                  PBinBr
-                    {
-                      a = { a with wd1 = a.d1 <> a.dst && live e a.d1 };
-                      xw = live e a.dst;
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                3
             | PArrStore s, PMovJmp m ->
                 code.(!i) <- PStoreMovJmp { s; hm = costs.(ih2); m };
                 hit "chain";
@@ -1395,22 +1242,6 @@ let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
                     };
                 hit "chain";
                 5
-            | PBinBin bb0, PRetI { r } ->
-                code.(!i) <-
-                  PBinBinRet
-                    {
-                      bb = mk_bb bb0.a bb0.hb bb0.b2 ih2 [];
-                      cr = costs.(ih2);
-                      r;
-                      sr =
-                        (if r = bb0.b2.dst then 2
-                         else if r = bb0.b2.d1 then 4
-                         else if r = bb0.a.dst then 1
-                         else if r = bb0.a.d1 then 3
-                         else 0);
-                    };
-                hit "chain";
-                5
             | _ -> w1
         in
         if w <> w1 then again := true;
@@ -1544,6 +1375,7 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
               | W16 -> 0xFFFFL
               | W32 -> 0xFFFF_FFFFL
               | W64 -> -1L);
+            ext = ext r;
           }
     | Instr.JustExt _ -> PNop
     | Instr.FBinop { dst; op; l; r } -> (
@@ -1892,6 +1724,59 @@ let out st s =
   Buffer.add_string st.buf s;
   Buffer.add_char st.buf '\n'
 
+(* The effects shared by the plain opcodes and the fused handlers: an
+   array load into its destination register, an array store, and the
+   control transfers. A transfer records its profile edge and returns
+   the target's flat offset; a target outside the function (offset -1)
+   then fails fetching the missing block, as in the structural
+   engine. *)
+let[@inline] arr_load st ri rf (ld : ald) =
+  let cell = arr_cell st ri.(ld.larr) in
+  let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+  match cell with
+  | IArr { data; _ } ->
+      let v = elem_load ld.lelem ld.llext data.(k) in
+      ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+  | FArr d -> rf.(ld.ldst) <- d.(k)
+  | RArr d ->
+      let v = Int64.of_int d.(k) in
+      ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+
+let[@inline] arr_store st ri rf (s : ast) =
+  let cell = arr_cell st ri.(s.sarr) in
+  let k = checked_index st ri.(s.sidx) (cell_len cell) in
+  match cell with
+  | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
+  | FArr d -> d.(k) <- rf.(s.ssrc)
+  | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc)
+
+(* [lv]/[rv] are the branch operands' full register values *)
+let[@inline] br_holds (b : br) lv rv =
+  if b.bw64 then holds b.bcond (Int64.compare lv rv)
+  else iholds b.bcond (sx32 lv) (sx32 rv)
+
+let[@inline] jump_to st p (j : jm) =
+  (match st.profile with
+  | Some prof -> Profile.record prof p.fname ~src:j.jsrc ~dst:j.jdst
+  | None -> ());
+  if j.joff < 0 then begin
+    ignore (Cfg.block p.src j.jdst);
+    assert false
+  end;
+  j.joff
+
+let[@inline] branch_to st p (b : br) taken =
+  let t_bid = if taken then b.bsob else b.bnob in
+  (match st.profile with
+  | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
+  | None -> ());
+  let t_off = if taken then b.bso else b.bno in
+  if t_off < 0 then begin
+    ignore (Cfg.block p.src t_bid);
+    assert false
+  end;
+  t_off
+
 let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : unit =
   let code = p.code and costs = p.costs in
   if Array.length code = 0 then
@@ -1899,13 +1784,15 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
        block 0; reproduce its exact exception *)
     ignore (Cfg.block p.src 0);
   let fuel = st.fuel in
-  (* dispatch-pair histogram: off in normal runs ([pairs_nops = 0], one
+  (* dispatch counting: off in normal runs ([pairs_nops = 0], one
      predictable branch per dispatch); when a profile with pairs enabled
-     is attached, consecutive straight-line opcode ids are counted *)
-  let pairs, pairs_nops =
+     is attached, every dispatch is counted per opcode id and
+     consecutive straight-line opcode ids per pair *)
+  let pairs, ops, pairs_nops =
     match st.profile with
-    | Some pr when Profile.pairs_enabled pr -> (pr.Profile.pairs, pr.Profile.pairs_nops)
-    | _ -> ([||], 0)
+    | Some pr when Profile.pairs_enabled pr ->
+        (pr.Profile.pairs, pr.Profile.ops, pr.Profile.pairs_nops)
+    | _ -> ([||], [||], 0)
   in
   let prev = ref (-1) in
   let pc = ref 0 in
@@ -1915,6 +1802,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     let op = Array.unsafe_get code cpc in
     if pairs_nops <> 0 then begin
       let id = op_id op in
+      ops.(id) <- ops.(id) + 1;
       if !prev >= 0 then begin
         let k = (!prev * pairs_nops) + id in
         pairs.(k) <- pairs.(k) + 1
@@ -1923,11 +1811,10 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
          pair is not a fusion candidate *)
       prev :=
         (match op with
-        | PJmp _ | PBr _ | PRet0 | PRetI _ | PRetF _ | PCmpBr _ | PCmpConstBr _
-        | PConstBr _ | PLoadBr _ | PMovJmp _ | PBinBr _ | PBinMovJmp _
-        | PStoreMovJmp _ | PMovBr _ | PBinBinBr _ | PBinBinMovBr _
-        | PLoadSxLoadBr _ | PSxLoadBinLoadBr _ | PSwapJmp _ | PStoreJmp _
-        | PConstJmp _ | PBinSextMovJmp _ | PSextMovJmp _ | PBinBinRet _ ->
+        | PJmp _ | PBr _ | PRet0 | PRetI _ | PRetF _ | PConstBr _ | PLoadBr _
+        | PMovJmp _ | PBinMovJmp _ | PStoreMovJmp _ | PMovBr _ | PBinBinBr _
+        | PBinBinMovBr _ | PLoadSxLoadBr _ | PSxLoadBinLoadBr _ | PSwapJmp _
+        | PStoreJmp _ | PConstJmp _ | PBinSextMovJmp _ | PSextMovJmp _ ->
             -1
         | _ -> id)
     end;
@@ -2016,10 +1903,11 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     | PSextSub { r; sh } ->
         st.sext_sub <- st.sext_sub + 1;
         ri.(r) <- Int64.shift_right (Int64.shift_left ri.(r) sh) sh
-    | PZext { r; mask } ->
+    | PZext { r; mask; ext } ->
         if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
         else st.zext_sub <- st.zext_sub + 1;
-        ri.(r) <- Int64.logand ri.(r) mask
+        let v = Int64.logand ri.(r) mask in
+        ri.(r) <- (if ext then Eval.sext32 v else v)
     | PFAdd { dst; l; r } -> rf.(dst) <- rf.(l) +. rf.(r)
     | PFSub { dst; l; r } -> rf.(dst) <- rf.(l) -. rf.(r)
     | PFMul { dst; l; r } -> rf.(dst) <- rf.(l) *. rf.(r)
@@ -2052,24 +1940,8 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         let h = Vec.push st.heap (Some cell) in
         let v = Int64.of_int (h + 1) in
         ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PArrLoad ld -> (
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-        match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(ld.ldst) <- d.(k)
-        | RArr d ->
-            let v = Int64.of_int d.(k) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v))
-    | PArrStore s -> (
-        let cell = arr_cell st ri.(s.sarr) in
-        let k = checked_index st ri.(s.sidx) (cell_len cell) in
-        match cell with
-        | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
-        | FArr d -> d.(k) <- rf.(s.ssrc)
-        | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc))
+    | PArrLoad ld -> arr_load st ri rf ld
+    | PArrStore s -> arr_store st ri rf s
     | PArrLen { dst; arr } ->
         ri.(dst) <- Int64.of_int (cell_len (arr_cell st ri.(arr)))
     | PGLoadF { dst; slot } ->
@@ -2111,31 +1983,8 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
             if st.ret_kind <> 2 then raise (Trap "bad-return");
             rf.(dst) <- st.ret_f
         | _ -> raise (Trap "bad-return"))
-    | PJmp { joff; jsrc; jdst } ->
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:jsrc ~dst:jdst
-        | None -> ());
-        if joff >= 0 then pc := joff
-        else begin
-          (* target outside the function: the jump executed; the fetch of
-             the missing block fails as in the structural engine *)
-          ignore (Cfg.block p.src jdst);
-          assert false
-        end
-    | PBr { bcond; bw64; bl; brx; bso; bno; bsrc; bsob; bnob } ->
-        let lv = ri.(bl) and rv = ri.(brx) in
-        let lv, rv = if bw64 then (lv, rv) else (Eval.sext32 lv, Eval.sext32 rv) in
-        let taken = holds bcond (Int64.compare lv rv) in
-        let t_off = if taken then bso else bno in
-        let t_bid = if taken then bsob else bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+    | PJmp j -> pc := jump_to st p j
+    | PBr b -> pc := branch_to st p b (br_holds b ri.(b.bl) ri.(b.brx))
     | PRet0 ->
         st.ret_kind <- 0;
         running := false
@@ -2161,87 +2010,14 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
        write entirely when liveness proved it dead (see [fuse_code]).
        Straight-line groups step [pc] past the shadowed constituent
        slots; groups ending in a control transfer set it absolutely. *)
-    | PCmpBr { dst; cond; w64; l; r; wdst; c2; b } ->
-        let bi =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
-        in
-        if wdst then ri.(dst) <- (if bi then 1L else 0L);
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let taken =
-          if b.bw64 then
-            let dv = if bi then 1L else 0L in
-            let lv = if b.bl = dst then dv else ri.(b.bl) in
-            let rv = if b.brx = dst then dv else ri.(b.brx) in
-            holds b.bcond (Int64.compare lv rv)
-          else
-            let dv = if bi then 1 else 0 in
-            let lv = if b.bl = dst then dv else sx32 ri.(b.bl) in
-            let rv = if b.brx = dst then dv else sx32 ri.(b.brx) in
-            iholds b.bcond lv rv
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PCmpConstBr { dst; cond; w64; l; r; wdst; d2; v2; wd2; c2; c3; t1; t0; b }
-      ->
-        let bi =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
-        in
-        if wdst then ri.(dst) <- (if bi then 1L else 0L);
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        if wd2 then ri.(d2) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        let taken = if bi then t1 else t0 in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
-    | PConstBr { d1; v; cvi; wd1; c2; b } ->
+    | PConstBr { d1; v; wd1; c2; b } ->
         if wd1 then ri.(d1) <- v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        let taken =
-          if b.bw64 then
-            let lv = if b.bl = d1 then v else ri.(b.bl) in
-            let rv = if b.brx = d1 then v else ri.(b.brx) in
-            holds b.bcond (Int64.compare lv rv)
-          else
-            let lv = if b.bl = d1 then cvi else sx32 ri.(b.bl) in
-            let rv = if b.brx = d1 then cvi else sx32 ri.(b.brx) in
-            iholds b.bcond lv rv
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        let lv = if b.bl = d1 then v else ri.(b.bl) in
+        let rv = if b.brx = d1 then v else ri.(b.brx) in
+        pc := branch_to st p b (br_holds b lv rv)
     | PLoadBr { ld; wdst; c2; b } ->
         let cell = arr_cell st ri.(ld.larr) in
         let k = checked_index st ri.(ld.lidx) (cell_len cell) in
@@ -2267,26 +2043,9 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        let taken =
-          if b.bw64 then
-            let lv = if b.bl = ld.ldst then iv else ri.(b.bl) in
-            let rv = if b.brx = ld.ldst then iv else ri.(b.brx) in
-            holds b.bcond (Int64.compare lv rv)
-          else
-            let lv = if b.bl = ld.ldst then sx32 iv else sx32 ri.(b.bl) in
-            let rv = if b.brx = ld.ldst then sx32 iv else sx32 ri.(b.brx) in
-            iholds b.bcond lv rv
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        let lv = if b.bl = ld.ldst then iv else ri.(b.bl) in
+        let rv = if b.brx = ld.ldst then iv else ri.(b.brx) in
+        pc := branch_to st p b (br_holds b lv rv)
     | PMovJmp { mdst; msrc; mext; mw; mc2; mj } ->
         if mw then begin
           let v = ri.(msrc) in
@@ -2295,45 +2054,19 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:mj.jsrc ~dst:mj.jdst
-        | None -> ());
-        if mj.joff >= 0 then pc := mj.joff
-        else begin
-          ignore (Cfg.block p.src mj.jdst);
-          assert false
-        end
+        pc := jump_to st p mj
     | PStoreJmp { s; c2; j } ->
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
-         | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
+        arr_store st ri rf s;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:j.jsrc ~dst:j.jdst
-        | None -> ());
-        if j.joff >= 0 then pc := j.joff
-        else begin
-          ignore (Cfg.block p.src j.jdst);
-          assert false
-        end
+        pc := jump_to st p j
     | PConstJmp { dst; v; wd1; c2; j } ->
         if wd1 then ri.(dst) <- v;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:j.jsrc ~dst:j.jdst
-        | None -> ());
-        if j.joff >= 0 then pc := j.joff
-        else begin
-          ignore (Cfg.block p.src j.jdst);
-          assert false
-        end
+        pc := jump_to st p j
     | PSextLoad { sr; wsr; c2; ld } ->
         st.sext32 <- st.sext32 + 1;
         let xi = sx32 ri.(sr) in
@@ -2405,64 +2138,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
               ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
             end);
         incr pc
-    | PZextLoad { zr; mask; wzr; c2; ld } ->
-        if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-        else st.zext_sub <- st.zext_sub + 1;
-        let zv = Int64.logand ri.(zr) mask in
-        if wzr then ri.(zr) <- zv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell = arr_cell st ri.(ld.larr) in
-        let xi = sx32 zv in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        (* the index was just masked: non-negative ⇒ full = low32, so the
-           wild-access check can never fire — index directly *)
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(ld.ldst) <- d.(xi)
-        | RArr d ->
-            let v = Int64.of_int d.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
-        incr pc
-    | PLoadZext { ld; c2; xr; mask } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* [xr = ld.ldst]: the load's write is overwritten by the
-               truncation before any observation point — write once *)
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand v mask
-        | FArr d ->
-            rf.(ld.ldst) <- d.(k);
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* float load: the zext reads the untouched int register,
-               exactly as the unfused sequence does *)
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand ri.(xr) mask
-        | RArr d ->
-            let v = Int64.of_int d.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
-            else st.zext_sub <- st.zext_sub + 1;
-            ri.(xr) <- Int64.logand v mask);
-        incr pc
     | PConstBin { d1; v; wd1; k; kw; dst; l; r; ext; c2 } ->
         if wd1 then ri.(d1) <- v;
         st.executed <- st.executed + 1;
@@ -2475,92 +2150,29 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         in
         ri.(dst) <- (if ext then Eval.sext32 v2 else v2);
         incr pc
-    | PAddStore { dst; l; r; ext; wdst; c2; s } ->
-        let v = Int64.add ri.(l) ri.(r) in
-        let v = if ext then Eval.sext32 v else v in
-        if wdst then ri.(dst) <- v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell = arr_cell st (if s.sarr = dst then v else ri.(s.sarr)) in
-        let k =
-          checked_index st
-            (if s.sidx = dst then v else ri.(s.sidx))
-            (cell_len cell)
-        in
-        (match cell with
-        | IArr { data; _ } ->
-            data.(k) <-
-              elem_store s.selem (if s.ssrc = dst then v else ri.(s.ssrc))
-        | FArr d -> d.(k) <- rf.(s.ssrc)
-        | RArr d ->
-            d.(k) <- Int64.to_int (if s.ssrc = dst then v else ri.(s.ssrc)));
-        incr pc
     (* Adjacent-array-access pairs: no data-dependency conditions, so
        both constituents execute verbatim — only the dispatch between
        them is saved. *)
     | PLoadLoad { l1; c2; l2 } ->
-        (let cell = arr_cell st ri.(l1.larr) in
-         let k = checked_index st ri.(l1.lidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } ->
-             let v = elem_load l1.lelem l1.llext data.(k) in
-             ri.(l1.ldst) <- (if l1.lsx then Eval.sext32 v else v)
-         | FArr d -> rf.(l1.ldst) <- d.(k)
-         | RArr d ->
-             let v = Int64.of_int d.(k) in
-             ri.(l1.ldst) <- (if l1.lsx then Eval.sext32 v else v));
+        arr_load st ri rf l1;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(l2.larr) in
-         let k = checked_index st ri.(l2.lidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } ->
-             let v = elem_load l2.lelem l2.llext data.(k) in
-             ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v)
-         | FArr d -> rf.(l2.ldst) <- d.(k)
-         | RArr d ->
-             let v = Int64.of_int d.(k) in
-             ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v));
+        arr_load st ri rf l2;
         incr pc
     | PLoadStore { ld; c2; s } ->
-        (let cell = arr_cell st ri.(ld.larr) in
-         let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } ->
-             let v = elem_load ld.lelem ld.llext data.(k) in
-             ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
-         | FArr d -> rf.(ld.ldst) <- d.(k)
-         | RArr d ->
-             let v = Int64.of_int d.(k) in
-             ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
+        arr_load st ri rf ld;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
-         | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
+        arr_store st ri rf s;
         incr pc
     | PStoreStore { s1; c2; s2 } ->
-        (let cell = arr_cell st ri.(s1.sarr) in
-         let k = checked_index st ri.(s1.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s1.selem ri.(s1.ssrc)
-         | FArr d -> d.(k) <- rf.(s1.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s1.ssrc));
+        arr_store st ri rf s1;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + c2;
-        (let cell = arr_cell st ri.(s2.sarr) in
-         let k = checked_index st ri.(s2.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s2.selem ri.(s2.ssrc)
-         | FArr d -> d.(k) <- rf.(s2.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s2.ssrc));
+        arr_store st ri rf s2;
         incr pc
     (* Chained superinstructions. Each embedded payload executes exactly
        as its own handler would (same writes, same elisions — a write
@@ -2639,14 +2251,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
+        pc := jump_to st p m.mj
     | PSextMovJmp { xr; xw; hm; smv; m } ->
         st.sext32 <- st.sext32 + 1;
         let xi = sx32 ri.(xr) in
@@ -2661,14 +2266,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
+        pc := jump_to st p m.mj
     | PGStoreGLoad { sslot; src; c2; ldst; lslot; lsign; lext; wl } ->
         gstore_i st sslot (Eval.zext32 ri.(src));
         st.executed <- st.executed + 1;
@@ -2738,75 +2336,6 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         let bv = bin_eval st.canonical b2.k b2.kw lv rv in
         if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
         pc := !pc + 4
-    | PBinBinRet { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; cr; r; sr } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv = bin_eval st.canonical b2.k b2.kw lv rv in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cr;
-        st.ret_kind <- 1;
-        st.ret_i <-
-          (match sr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(r));
-        running := false
-    | PBinBr { a; xw; cb; sbl; sbr; b } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv = match sbl with 1 -> v1 | 3 -> a.v | _ -> ri.(b.bl) in
-        let rv = match sbr with 1 -> v1 | 3 -> a.v | _ -> ri.(b.brx) in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
     | PBinMovJmp { a; xw; hm; smv; m } ->
         if a.wd1 then ri.(a.d1) <- a.v;
         st.executed <- st.executed + 1;
@@ -2829,21 +2358,9 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
+        pc := jump_to st p m.mj
     | PStoreMovJmp { s; hm; m } ->
-        (let cell = arr_cell st ri.(s.sarr) in
-         let k = checked_index st ri.(s.sidx) (cell_len cell) in
-         match cell with
-         | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
-         | FArr d -> d.(k) <- rf.(s.ssrc)
-         | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc));
+        arr_store st ri rf s;
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + hm;
@@ -2854,14 +2371,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
+        pc := jump_to st p m.mj
     (* Block-shaped superinstructions. Constituent effects and
        accounting steps run in program order exactly as above; the
        difference is that every in-group register read of an in-group
@@ -2882,20 +2392,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.cycles <- st.cycles + vc2;
         let lv = if b.bl = vdst then mv else ri.(b.bl) in
         let rv = if b.brx = vdst then mv else ri.(b.brx) in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        pc := branch_to st p b (br_holds b lv rv)
     | PBinBinBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; cb; sbl; sbr; b }
       ->
         if a.wd1 then ri.(a.d1) <- a.v;
@@ -2946,20 +2443,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | 4 -> b2.v
           | _ -> ri.(b.brx)
         in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        pc := branch_to st p b (br_holds b lv rv)
     | PBinBinMovBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; hm; smv; m; sbl; sbr }
       ->
         if a.wd1 then ri.(a.d1) <- a.v;
@@ -3028,20 +2512,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | 5 -> mv
           | _ -> ri.(b.brx)
         in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        pc := branch_to st p b (br_holds b lv rv)
     | PLoadSxLoad { l1; w1; cs; sr; wsr; f1; cl; l2 } ->
         let cell1 = arr_cell st ri.(l1.larr) in
         let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
@@ -3140,20 +2611,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         let rv =
           match sbr with 1 -> u1 | 2 -> xv | 3 -> u2 | _ -> ri.(b.brx)
         in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        pc := branch_to st p b (br_holds b lv rv)
     | PSxLoadBin { sr; wsr; cl; ld; w1; hb; a; s2l; s2r; xw } ->
         st.sext32 <- st.sext32 + 1;
         let xi = sx32 ri.(sr) in
@@ -3296,20 +2754,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | 5 -> u2
           | _ -> ri.(b.brx)
         in
-        let taken =
-          if b.bw64 then holds b.bcond (Int64.compare lv rv)
-          else iholds b.bcond (sx32 lv) (sx32 rv)
-        in
-        let t_off = if taken then b.bso else b.bno in
-        let t_bid = if taken then b.bsob else b.bnob in
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
-        | None -> ());
-        if t_off >= 0 then pc := t_off
-        else begin
-          ignore (Cfg.block p.src t_bid);
-          assert false
-        end
+        pc := branch_to st p b (br_holds b lv rv)
     | PLoad2Store2 { l1; w1; c2; l2; w2; c3; s1; z1; zr1; c4; s2; z2; zr2 }
       ->
         let cell1 = arr_cell st ri.(l1.larr) in
@@ -3516,14 +2961,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         st.executed <- st.executed + 1;
         if st.executed > fuel then raise (Trap "fuel-exhausted");
         st.cycles <- st.cycles + m.mc2;
-        (match st.profile with
-        | Some prof -> Profile.record prof p.fname ~src:m.mj.jsrc ~dst:m.mj.jdst
-        | None -> ());
-        if m.mj.joff >= 0 then pc := m.mj.joff
-        else begin
-          ignore (Cfg.block p.src m.mj.jdst);
-          assert false
-        end
+        pc := jump_to st p m.mj
   done
 
 (** Call [fn], binding [argv] (packed caller registers) to the callee's

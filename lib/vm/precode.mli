@@ -62,6 +62,14 @@ val dispatch_counts : Profile.t -> ((string * string) * int) list
 (** The collected histogram as [((first, second), count)], count
     descending (deterministic tie order). *)
 
+val dispatch_ops : Profile.t -> (string * int * int) list
+(** Dispatches per opcode as [(name, width, count)], count descending
+    (deterministic tie order); [width] is the number of instructions one
+    dispatch of the opcode executes (1 for plain opcodes, the constituent
+    count for a fused superinstruction). The counts sum to the run's
+    dispatches, and [width × count] sums to its [executed] counter unless
+    fuel ran out inside a fused group. *)
+
 val disasm : pfunc -> string
 (** Flat-code listing, one line per slot: offset, a [B<bid>:] marker on
     block starts, and the opcode name; slots shadowed by a preceding

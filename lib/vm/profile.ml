@@ -5,7 +5,8 @@
 
     Beyond branch edges, a profile can carry a {e dispatch-pair histogram}:
     counts of consecutively dispatched opcode pairs in the pre-decoded
-    engine, keyed by small integer opcode ids. The histogram is what makes
+    engine, keyed by small integer opcode ids, next to the count of
+    dispatches per opcode. The histogram is what makes
     superinstruction fusion profile-guided — it names the adjacent pairs
     that dominate a workload's dispatch stream (see
     [sxopt bench --dispatch-counts]). Ids are opaque here; {!Precode} owns
@@ -16,10 +17,13 @@ type t = {
   mutable pairs : int array;
       (** flattened [nops * nops] pair counts, row = first opcode of the
           pair; [[||]] when dispatch-pair collection is disabled *)
+  mutable ops : int array;
+      (** dispatches per opcode id, control transfers included; [[||]]
+          when disabled *)
   mutable pairs_nops : int;  (** row width of [pairs]; 0 when disabled *)
 }
 
-let create () = { edges = Hashtbl.create 256; pairs = [||]; pairs_nops = 0 }
+let create () = { edges = Hashtbl.create 256; pairs = [||]; ops = [||]; pairs_nops = 0 }
 
 (** Enable dispatch-pair collection over an id space of [nops] opcodes
     (idempotent; resizing resets the counts). *)
@@ -27,6 +31,7 @@ let enable_pairs t ~nops =
   if nops <= 0 then invalid_arg "Profile.enable_pairs: nops must be positive";
   if t.pairs_nops <> nops then begin
     t.pairs <- Array.make (nops * nops) 0;
+    t.ops <- Array.make nops 0;
     t.pairs_nops <- nops
   end
 
@@ -42,6 +47,15 @@ let pair_counts t : ((int * int) * int) list =
       let c = t.pairs.((a * n) + b) in
       if c > 0 then acc := ((a, b), c) :: !acc
     done
+  done;
+  List.stable_sort (fun (_, c1) (_, c2) -> compare c2 c1) !acc
+
+(** Nonzero per-opcode dispatch counts as [(id, count)], count
+    descending (ties in id order). *)
+let op_counts t : (int * int) list =
+  let acc = ref [] in
+  for id = Array.length t.ops - 1 downto 0 do
+    if t.ops.(id) > 0 then acc := (id, t.ops.(id)) :: !acc
   done;
   List.stable_sort (fun (_, c1) (_, c2) -> compare c2 c1) !acc
 

@@ -1,6 +1,7 @@
 (** Superinstruction-fusion tests: selection parsing, the branch-target
     barrier (a fused group never shadows a jump target), bit-identical
-    fuel exhaustion mid-superinstruction, and the (generation, fusion
+    fuel exhaustion mid-superinstruction, static hits for every rule and
+    exact dispatch counts on the workloads, and the (generation, fusion
     selection) keying of the decode cache. The broad three-engine parity
     sweeps live in [Test_precode] and the fuzz oracle; these cases pin
     the fusion-specific edges. *)
@@ -63,7 +64,7 @@ let test_parse () =
   Alcotest.(check bool) "all" true (Sxe_vm.Fuse.parse "all" = Ok Sxe_vm.Fuse.All);
   Alcotest.(check bool) "off" true (Sxe_vm.Fuse.parse "off" = Ok Sxe_vm.Fuse.Off);
   Alcotest.(check bool) "list" true
-    (Sxe_vm.Fuse.parse "mov-jmp,cmp-br" = Ok (Sxe_vm.Fuse.Rules [ "mov-jmp"; "cmp-br" ]));
+    (Sxe_vm.Fuse.parse "mov-jmp,load-br" = Ok (Sxe_vm.Fuse.Rules [ "mov-jmp"; "load-br" ]));
   (match Sxe_vm.Fuse.parse "mov-jmp,typo-rule" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown rule name accepted");
@@ -161,13 +162,14 @@ let test_fuel_mid_superinstruction () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The zext fusion pairs: byte-histogram idiom under a fuel sweep      *)
+(* Plain Zext between fused groups: byte-histogram idiom, fuel sweep   *)
 (* ------------------------------------------------------------------ *)
 
 let zext_load_loop () =
-  (* Loop body: [ArrStore; Zext; ArrLoad; Add; Add; Mov; Br] — the
-     [Zext; ArrLoad] pair fuses as zext-load (masked subscript), and the
-     tail block reads back through an [ArrLoad; Zext] pair (load-zext). *)
+  (* Loop body: [ArrStore; Zext; ArrLoad; Add; Add; Mov; Br] — a masked
+     subscript feeding an array load, and a tail block that reads back
+     through [ArrLoad; Zext]. No rule fuses a [Zext], so each one runs as
+     a plain dispatch next to fused neighbours. *)
   let b, _ = B.create ~name:"main" ~params:[] () in
   let n = B.iconst b 8 in
   let a = B.newarr b AI32 n in
@@ -194,18 +196,10 @@ let zext_load_loop () =
   B.ret b;
   Helpers.prog_of_func (B.func b)
 
-let test_fuel_through_zext_load () =
+let test_fuel_through_zext () =
+  (* sweep every cutoff: ticks inside the fused groups around each
+     [Zext] must land where the plain instruction sequence puts them *)
   let p = zext_load_loop () in
-  let img =
-    Sxe_vm.Precode.get_decoded ~fuse:Sxe_vm.Fuse.All ~canonical:false
-      (main_func p)
-  in
-  let stats = Sxe_vm.Precode.fusion_stats img in
-  let hits rule = try List.assoc rule stats with Not_found -> 0 in
-  Alcotest.(check bool) "zext-load fused" true (hits "zext-load" >= 1);
-  Alcotest.(check bool) "load-zext fused" true (hits "load-zext" >= 1);
-  (* sweep every cutoff: ticks inside the fused groups must land where
-     the plain instruction sequence would put them *)
   let full = check3 "zext loop unbounded" p in
   Alcotest.(check int64) "loop observes zero extensions" 9L
     full.Sxe_vm.Interp.zext32;
@@ -221,6 +215,58 @@ let test_fuel_through_zext_load () =
         (Printf.sprintf "fuel=%d completes" fuel)
         None out.Sxe_vm.Interp.trap
   done
+
+(* ------------------------------------------------------------------ *)
+(* The measured rule set: static hits and exact dispatch counts        *)
+(* ------------------------------------------------------------------ *)
+
+(* The 24 programs of the vm-exec benchmark (registry + extras) at scale
+   1, each compiled once under the full algorithm. *)
+let compiled_workloads =
+  lazy
+    (List.map
+       (fun (w : Sxe_workloads.Registry.t) ->
+         let prog = Sxe_lang.Frontend.compile w.source in
+         ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) prog);
+         (w.name, prog))
+       (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ()))
+
+let test_every_rule_hits () =
+  (* a rule that never matches the workloads is dead code: each name in
+     [Fuse.rule_names] must fuse at least one group somewhere *)
+  let hits = Hashtbl.create 16 in
+  List.iter
+    (fun (_, prog) ->
+      Prog.iter_funcs
+        (fun f ->
+          let img = Sxe_vm.Precode.get_decoded ~fuse:Sxe_vm.Fuse.All ~canonical:false f in
+          List.iter
+            (fun (rule, n) ->
+              Hashtbl.replace hits rule (n + Option.value ~default:0 (Hashtbl.find_opt hits rule)))
+            (Sxe_vm.Precode.fusion_stats img))
+        prog)
+    (Lazy.force compiled_workloads);
+  Alcotest.(check (list string)) "rules without a static hit" []
+    (List.filter (fun r -> not (Hashtbl.mem hits r)) Sxe_vm.Fuse.rule_names)
+
+let test_dispatch_counts () =
+  (* every dispatch is counted: unfused, one dispatch per executed
+     instruction; fused, each dispatch executes its opcode's width *)
+  List.iter
+    (fun (name, prog) ->
+      let measure fuse =
+        let prof = Sxe_vm.Profile.create () in
+        Sxe_vm.Precode.enable_dispatch prof;
+        let out = Sxe_vm.Interp.run ~engine:`Precode ~fuse ~profile:prof prog in
+        (out.Sxe_vm.Interp.executed, Sxe_vm.Precode.dispatch_ops prof)
+      in
+      let executed, ops = measure Sxe_vm.Fuse.Off in
+      Alcotest.(check int64) (name ^ ": unfused dispatches = executed") executed
+        (Int64.of_int (List.fold_left (fun a (_, _, c) -> a + c) 0 ops));
+      let executed, ops = measure Sxe_vm.Fuse.All in
+      Alcotest.(check int64) (name ^ ": fused sum of width x count = executed") executed
+        (Int64.of_int (List.fold_left (fun a (_, w, c) -> a + (w * c)) 0 ops)))
+    (Lazy.force compiled_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* Cache keying                                                        *)
@@ -299,8 +345,9 @@ let suite =
       test_branch_target_barrier;
     Alcotest.test_case "fuel exhaustion mid-superinstruction" `Quick
       test_fuel_mid_superinstruction;
-    Alcotest.test_case "fuel sweep through fused zext-load/load-zext" `Quick
-      test_fuel_through_zext_load;
+    Alcotest.test_case "fuel sweep through plain Zext" `Quick test_fuel_through_zext;
+    Alcotest.test_case "every rule fuses on the workloads" `Quick test_every_rule_hits;
+    Alcotest.test_case "exact dispatch counts" `Quick test_dispatch_counts;
     Alcotest.test_case "decode cache keyed by fusion selection" `Quick
       test_cache_keyed_by_selection;
   ]

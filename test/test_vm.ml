@@ -36,6 +36,35 @@ let test_faithful_vs_canonical () =
   Alcotest.(check bool) "modes diverge on unsound code" false
     (Int64.equal faithful.Sxe_vm.Interp.checksum canonical.Sxe_vm.Interp.checksum)
 
+let test_canonical_zext32 () =
+  (* The canonical 32-bit machine re-extends after a [zextend32] of an
+     I32 register, as after every other 32-bit definition, so [i2d] sees
+     the negative value. Step 1 assumes this when it places an extension
+     after the [zextend32]; with a reference that kept the zeroed upper
+     half, every variant diverges on this program. *)
+  let build ~zext =
+    let b, _ = B.create ~name:"main" ~params:[] () in
+    let x = B.const b ~ty:I32 (-845209278L) in
+    if zext then ignore (B.zext b x);
+    let d = B.i2d b x in
+    (match B.call b "checksum_double" [ (d, F64) ] with Some _ -> assert false | None -> ());
+    B.ret b;
+    Helpers.prog_of_func (B.func b)
+  in
+  let plain = Sxe_vm.Interp.run ~mode:`Canonical (build ~zext:false) in
+  List.iter
+    (fun (name, engine, fuse) ->
+      let out = Sxe_vm.Interp.run ~mode:`Canonical ~engine ~fuse (build ~zext:true) in
+      Alcotest.(check int64) (name ^ ": zextend32 keeps the 32-bit value")
+        plain.Sxe_vm.Interp.checksum out.Sxe_vm.Interp.checksum)
+    [
+      ("structural", `Structural, Sxe_vm.Fuse.Off);
+      ("precode", `Precode, Sxe_vm.Fuse.Off);
+      ("fused", `Precode, Sxe_vm.Fuse.All);
+    ];
+  Alcotest.(check int) "every variant agrees with the reference" 0
+    (List.length (Sxe_fuzz.Oracle.check (Sxe_fuzz.Oracle.Ir (build ~zext:true))))
+
 let test_wild_access_trap () =
   (* bounds check passes on the low 32 bits but the full register is
      garbage: the machine model traps *)
@@ -163,6 +192,7 @@ let test_justext_free () =
 let suite =
   [
     Alcotest.test_case "faithful vs canonical modes" `Quick test_faithful_vs_canonical;
+    Alcotest.test_case "canonical zextend32 re-extends" `Quick test_canonical_zext32;
     Alcotest.test_case "wild access traps" `Quick test_wild_access_trap;
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "fuel" `Quick test_fuel;
