@@ -6,6 +6,12 @@
     analysis of the paper's first algorithm, and the four systems of lazy
     code motion. *)
 
+exception No_convergence of { analysis : string; func : string }
+(** An iterative analysis hit its iteration bound on function [func]
+    without reaching a fixpoint. Every fixpoint loop of the optimizer
+    ({!solve}, [Range.compute], lazy code motion) raises this one
+    exception, so a caller can tell an analysis failure from a crash. *)
+
 type direction = Forward | Backward
 type meet = Union | Inter
 
@@ -27,8 +33,8 @@ val solve :
     for [Forward], exit fact for [Backward]) to its output fact and must
     be monotone; [boundary] seeds the entry (forward) or every exit block
     (backward). With [Inter] meet, interior facts start at top. Raises
-    [Failure] if no fixpoint is reached within the lattice-derived bound
-    (only possible for a non-monotone transfer). *)
+    {!No_convergence} if no fixpoint is reached within the
+    lattice-derived bound (only possible for a non-monotone transfer). *)
 
 val solve_gen_kill :
   f:Sxe_ir.Cfg.func ->

@@ -567,7 +567,8 @@ let compute ?call_ranges (f : Cfg.func) =
   let guard = ref 0 in
   while !changed do
     incr guard;
-    if !guard > 1000 then failwith "Range.compute: no convergence";
+    if !guard > 1000 then
+      raise (Dataflow.No_convergence { analysis = "Range.compute"; func = f.Cfg.name });
     changed := false;
     List.iter
       (fun bid ->

@@ -149,7 +149,9 @@ let run (f : Cfg.func) =
     let guard = ref 0 in
     while !changed do
       incr guard;
-      if !guard > 2 * (nblocks + nexpr) + 32 then failwith "Lcm: no convergence";
+      if !guard > 2 * (nblocks + nexpr) + 32 then
+        raise
+          (Sxe_analysis.Dataflow.No_convergence { analysis = "Lcm"; func = f.Cfg.name });
       changed := false;
       List.iter
         (fun bid ->

@@ -34,6 +34,10 @@ let run_prog ?(emit = false) ~(config : Sxe_core.Config.t) ~(maxlen : int64)
   in
   { prog; config; stats; errors; asm }
 
+let error_category = function
+  | Sxe_analysis.Dataflow.No_convergence _ -> "no_convergence"
+  | _ -> "internal"
+
 let run_source ?emit ~config ~maxlen (src : string) :
     (outcome, string) result =
   match Sxe_lang.Frontend.compile src with

@@ -37,6 +37,12 @@ val run_prog :
 (** Clone, compile, validate, certify (and emit when [emit]). The input
     program is not mutated. Compiler/validator exceptions propagate. *)
 
+val error_category : exn -> string
+(** The daemon's error category for an exception out of the pipeline:
+    ["no_convergence"] when an analysis hit its iteration bound
+    ({!Sxe_analysis.Dataflow.No_convergence}), ["internal"] for anything
+    else. *)
+
 val run_source :
   ?emit:bool -> config:Sxe_core.Config.t -> maxlen:int64 ->
   string -> (outcome, string) result

@@ -157,8 +157,9 @@ let err_payload ~category ~detail =
   payload false [ ("error", Json.Str category); ("detail", Json.Str detail) ]
 
 (* Runs on a pool worker, which takes the queue-wait timeout at pickup.
-   Deterministic outcomes (verdicts and frontend errors) cache; internal
-   crashes do not, so a transient failure is retried rather than pinned.
+   Deterministic outcomes (verdicts, frontend errors and analyses that do
+   not converge) cache; internal crashes do not, so a transient failure
+   is retried rather than pinned.
    Nothing may escape: a raise would end the worker domain and leave the
    compile in flight forever. *)
 let compile_outcome ~timeout_s (w : work) : outcome =
@@ -172,7 +173,8 @@ let compile_outcome ~timeout_s (w : work) : outcome =
       | Ok o -> Compiled (ok_payload ~arch_name:w.w_arch_name o, true)
       | Error msg -> Compiled (err_payload ~category:"frontend" ~detail:msg, true)
   with e ->
-    Compiled (err_payload ~category:"internal" ~detail:(Printexc.to_string e), false)
+    let category = Compile_one.error_category e in
+    Compiled (err_payload ~category ~detail:(Printexc.to_string e), category <> "internal")
 
 (* ------------------------------------------------------------------ *)
 (* Connection I/O                                                      *)

@@ -205,6 +205,32 @@ let test_liveness_across_loop () =
   Alcotest.(check bool) "acc live into header" true
     (Sxe_util.Bitset.mem (Liveness.live_in live h) acc)
 
+(* A transfer that is not even a function of its input (a block's output
+   flips on every visit) never reaches a fixpoint around the loop: the
+   solver stops at its bound with the typed exception, which the daemon
+   answers in its own error category instead of as a crash. *)
+let test_no_convergence () =
+  let f, _, _, _ = loop_func () in
+  let flip = Array.make (Cfg.num_blocks f) false in
+  let transfer bid _ =
+    flip.(bid) <- not flip.(bid);
+    let s = Sxe_util.Bitset.create 1 in
+    if flip.(bid) then Sxe_util.Bitset.add s 0;
+    s
+  in
+  (match
+     Dataflow.solve ~f ~dir:Dataflow.Forward ~meet:Dataflow.Union ~universe:1 ~transfer
+       ~boundary:(Sxe_util.Bitset.create 1)
+   with
+  | _ -> Alcotest.fail "a flipping transfer converged"
+  | exception (Dataflow.No_convergence { analysis; func } as e) ->
+      Alcotest.(check (pair string string)) "analysis and function"
+        ("Dataflow.solve", "f") (analysis, func);
+      Alcotest.(check string) "daemon category" "no_convergence"
+        (Sxe_serve.Compile_one.error_category e));
+  Alcotest.(check string) "anything else is internal" "internal"
+    (Sxe_serve.Compile_one.error_category (Failure "boom"))
+
 let suite =
   [
     Alcotest.test_case "liveness basics" `Quick test_liveness;
@@ -213,4 +239,6 @@ let suite =
     Alcotest.test_case "incremental deletion (hand)" `Quick test_incremental_deletion_hand;
     QCheck_alcotest.to_alcotest prop_incremental_matches_rebuild;
     QCheck_alcotest.to_alcotest prop_chains_consistent;
+    Alcotest.test_case "non-monotone transfer: typed non-convergence" `Quick
+      test_no_convergence;
   ]
