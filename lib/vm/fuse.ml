@@ -1,9 +1,9 @@
 (** Superinstruction-fusion gating.
 
-    The pre-decoded engine ({!Precode}) can rewrite hot adjacent
-    instruction pairs into fused superinstruction opcodes at
-    decode time (see [docs/VM.md], "Superinstructions"). Which fusion
-    rules fire is a per-run {!selection}:
+    The pre-decoded engine ({!Precode}) rewrites hot adjacent
+    instructions into fused superinstruction opcodes at decode time
+    (see [docs/VM.md], "Superinstructions"). Which fusion rules fire is
+    a per-run {!selection}:
 
     - [All] — every rule (the default);
     - [Off] — plain pre-decoded code, no fusion;
@@ -11,57 +11,17 @@
 
     The ambient default comes from the [SXE_FUSE] environment variable
     ([all], [off], or a comma-separated rule list), read once per
-    process. Rule names are defined by {!Precode}; unknown names in a
-    list are rejected by {!parse} so a typo cannot silently measure the
-    unfused engine. *)
+    process. The rules and the shapes they enable are the rows of
+    [Precode.shapes], the one table of superinstructions: each row names
+    its rule, its constituents, its match guard and whether it ends in a
+    control transfer. Unknown names in a list are rejected by {!parse}
+    so a typo cannot silently measure the unfused engine. *)
 
-type selection = All | Off | Rules of string list
+type selection = Precode.selection = All | Off | Rules of string list
 
-(** The fusion rules {!Precode} implements, in match priority order.
-    The set is profile-guided and pruned by measurement: these are the
-    hot straight-line dispatch pairs measured by
-    [sxopt bench --dispatch-counts] on the 24 workloads (compress's
-    loop-step block is [Const; Add; Mov; Jmp] and its probe condition is
-    [ArrLoad; Br]; Numeric Sort adds [Const]-fed multiplies and
-    [Sext W32]-fed array addressing), and every rule has static hits on
-    them. Shapes that saved no dispatches, or too few to matter, were
-    deleted (the ledger is in EXPERIMENTS.md, "Superinstruction
-    fusion"); in particular there is no compare-and-branch rule: MiniJ
-    lowers an integer condition to a [Br] on its operands, so no [Cmp]
-    feeds the [Br] after it. All rules are pairs:
-    - [const-br]: [Const] + [Br] reading the just-written constant
-    - [load-br]: [ArrLoad] + [Br] reading the loaded value
-    - [mov-jmp]: [Mov] + [Jmp] — a loop-step block's tail
-    - [mov-br]: [Mov] + [Br] — a flag set right before the test on it
-    - [store-jmp]: [ArrStore] + [Jmp] — a store-then-loop-back tail
-    - [const-jmp]: [Const] + [Jmp] — a constant set up before a back edge
-    - [gstore-gload]: [GStore I32] + [GLoad I32] — a global written and
-      immediately reloaded (Numeric Sort's seed update)
-    - [sext-load]: [Sext W32] + [ArrLoad] — index extend + array address
-    - [load-sext]: [ArrLoad] + [Sext] re-extending the loaded value
-    - [const-arith]: [Const] + any int binop consuming it (arithmetic,
-      bitwise, shifts, division)
-    - [load-load], [load-store], [store-store]: adjacent array
-      accesses (Numeric Sort's element swaps)
-    - [chain]: a second pass, iterated to fixpoint, merging a fused
-      group with the group that follows it — [ConstBin]+[ConstBin],
-      [ConstBin]+[MovJmp] (compress's whole loop-step block,
-      [Const; Add; Mov; Jmp], in one dispatch), [ArrStore]+[MovJmp],
-      the block-shaped Numeric Sort chains ([BinBin]+[Br],
-      [BinBin]+[MovBr], [ArrLoad]+[SextLoad](+[Br]),
-      [SextLoad]+[ConstBin](+[LoadBr]), [LoadLoad]+[StoreStore]
-      (+[MovJmp])), and the sign-extension and rnd-body chains
-      ([ConstBin]+[Sext W32] re-extending the result (+[MovJmp]),
-      [Sext W32]+[MovJmp], [GLoad I32]+[BinBin]). Chained groups
-      forward values between constituents in locals and elide
-      register-file writes that liveness proves dead at the end of the
-      group. *)
-let rule_names =
-  [
-    "const-br"; "load-br"; "mov-jmp"; "mov-br"; "store-jmp"; "const-jmp";
-    "gstore-gload"; "sext-load"; "load-sext"; "const-arith"; "load-load";
-    "load-store"; "store-store"; "chain";
-  ]
+(** Every rule of the shape table, in table order ([chain] enables the
+    rows that merge two fused groups). *)
+let rule_names = Precode.rule_names
 
 let is_rule n = List.mem n rule_names
 
@@ -69,14 +29,7 @@ let is_rule n = List.mem n rule_names
     selection), so runs with different selections coexist without
     re-decoding (and a changed [SXE_FUSE] between runs can never serve a
     stale image). *)
-let key = function
-  | All -> "all"
-  | Off -> "off"
-  | Rules rs -> String.concat "," (List.sort_uniq compare rs)
-
-(** Does [sel] enable rule [name]? *)
-let enables sel name =
-  match sel with All -> true | Off -> false | Rules rs -> List.mem name rs
+let key = Precode.selection_key
 
 let parse (s : string) : (selection, string) result =
   match String.trim (String.lowercase_ascii s) with

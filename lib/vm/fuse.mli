@@ -5,17 +5,15 @@
     [off], or a comma-separated rule list), read once per process. See
     [docs/VM.md], "Superinstructions". *)
 
-type selection = All | Off | Rules of string list
+type selection = Precode.selection = All | Off | Rules of string list
 
 val rule_names : string list
-(** Every rule {!Precode} implements, in match priority order. *)
+(** Every rule of {!Precode}'s shape table, in table order. *)
 
 val is_rule : string -> bool
 
 val key : selection -> string
 (** Stable cache key; decoded images are cached per (mode, key). *)
-
-val enables : selection -> string -> bool
 
 val parse : string -> (selection, string) result
 (** Parse an [SXE_FUSE]-style spec; rejects unknown rule names. *)

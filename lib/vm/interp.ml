@@ -375,7 +375,9 @@ let run ?mode ?fuel ?count_cycles ?profile ?trace ?watch ?engine ?fuse
     else match engine with Some e -> e | None -> `Precode
   in
   match engine with
-  | `Precode -> Precode.run ?mode ?fuel ?count_cycles ?profile ?fuse prog
+  | `Precode ->
+      let fuse = match fuse with Some s -> s | None -> Fuse.of_env () in
+      Precode.run ?mode ?fuel ?count_cycles ?profile ~fuse prog
   | `Structural -> run_structural ?mode ?fuel ?count_cycles ?profile ?trace ?watch prog
 
 (** Equality of observable behaviour: output, checksum, trap and return

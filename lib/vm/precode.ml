@@ -58,31 +58,45 @@ type outcome = {
 let max_alloc = 1 lsl 26
 let max_depth = 2_500
 
-let elem_load elem lext (raw : int64) =
+(* The extensions, spelled with [Int64] primitives so that they inline
+   and never box ({!Eval}'s are calls across the library boundary). *)
+let[@inline] sext_from sh (v : int64) = Int64.shift_right (Int64.shift_left v sh) sh
+let[@inline] sext32 v = sext_from 32 v
+let[@inline] zext32 v = Int64.logand v 0xFFFF_FFFFL
+
+let[@inline] elem_load elem lext (raw : int64) =
   match (elem, lext) with
-  | AI8, LZero -> Eval.zext8 raw
-  | AI8, LSign -> Eval.sext8 raw
-  | AI16, LZero -> Eval.zext16 raw
-  | AI16, LSign -> Eval.sext16 raw
-  | AI32, LZero -> Eval.zext32 raw
-  | AI32, LSign -> Eval.sext32 raw
+  | AI8, LZero -> Int64.logand raw 0xFFL
+  | AI8, LSign -> sext_from 56 raw
+  | AI16, LZero -> Int64.logand raw 0xFFFFL
+  | AI16, LSign -> sext_from 48 raw
+  | AI32, LZero -> zext32 raw
+  | AI32, LSign -> sext32 raw
   | (AI64 | AF64 | ARef), _ -> raw
 
-let elem_store elem (v : int64) =
+let[@inline] elem_store elem (v : int64) =
   match elem with
-  | AI8 -> Eval.zext8 v
-  | AI16 -> Eval.zext16 v
-  | AI32 -> Eval.zext32 v
+  | AI8 -> Int64.logand v 0xFFL
+  | AI16 -> Int64.logand v 0xFFFFL
+  | AI32 -> zext32 v
   | AI64 | AF64 | ARef -> v
+
+(* The integer register file holds unboxed [int64]s, so a register
+   write allocates nothing and needs no write barrier. A register out of
+   range raises [Invalid_argument], as an array index would. *)
+type regs = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@inline] rget (ri : regs) r = Bigarray.Array1.get ri r
+let[@inline] rset (ri : regs) r v = Bigarray.Array1.set ri r v
+let no_regs : regs = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0
 
 let checksum_mix c v = Int64.add (Int64.mul c 0x100000001b3L) v
 
-(* Allocation-free comparison kit for the fused superinstruction
-   handlers. [sx32] sign-extends the low 32 bits of a register into a
-   native int: [Int64.to_int] keeps the low 62 bits, then bit 31 is
-   shifted onto the native sign bit and back. Comparing two [sx32]
-   images is exactly [Int64.compare (Eval.sext32 a) (Eval.sext32 b)] —
-   without boxing a single intermediate. *)
+(* [sx32] sign-extends the low 32 bits of a register into a native int:
+   [Int64.to_int] keeps the low 62 bits, then bit 31 is shifted onto the
+   native sign bit and back. Comparing two [sx32] images is exactly
+   [Int64.compare (sext32 a) (sext32 b)] — without boxing a
+   single intermediate. *)
 let sx32 (v : int64) : int = (Int64.to_int v lsl 31) asr 31
 
 let holds cond c =
@@ -103,14 +117,13 @@ let iholds cond (a : int) (b : int) =
   | Gt -> a > b
   | Ge -> a >= b
 
-(* The integer binop kernel shared by every fused const+binop handler
-   ([cbin.k] selects the operation, [kw] the shift/div width). Division
-   traps exactly where the plain [PDiv]/[PRem] handlers do — the caller
-   evaluates at the constituent's own slot, after its tick and charge.
-   [zx] is the canonical flag: the canonical machine's 32-bit [LShr]
-   zero-extends its left operand internally; the faithful machine shifts
-   the full register ({!Eval.binop_faithful}) and relies on an explicit
-   [Zext] guard for the canonical result. *)
+(* The integer binop kernel ([k] selects the operation, [kw] the
+   shift/div width). Division traps after the binop's own tick and
+   charge, as the structural engine does. [zx] is the canonical flag:
+   the canonical machine's 32-bit [LShr] zero-extends its left operand
+   internally; the faithful machine shifts the full register
+   ({!Eval.binop_faithful}) and relies on an explicit [Zext] guard for
+   the canonical result. *)
 let[@inline] bin_eval zx k kw lv rv =
   match k with
   | 0 -> Int64.add lv rv
@@ -128,28 +141,39 @@ let[@inline] bin_eval zx k kw lv rv =
   | 8 ->
       let amt = Int64.to_int (Int64.logand rv (if kw then 63L else 31L)) in
       if kw || not zx then Int64.shift_right_logical lv amt
-      else Int64.shift_right_logical (Eval.zext32 lv) amt
+      else Int64.shift_right_logical (zext32 lv) amt
   | 9 ->
-      if if kw then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L then
+      if if kw then Int64.equal rv 0L else Int64.equal (zext32 rv) 0L then
         raise (Trap "division-by-zero");
       if Int64.equal rv (-1L) then Int64.neg lv else Int64.div lv rv
   | _ ->
-      if if kw then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L then
+      if if kw then Int64.equal rv 0L else Int64.equal (zext32 rv) 0L then
         raise (Trap "division-by-zero");
       if Int64.equal rv (-1L) then 0L else Int64.rem lv rv
 
 let builtin_names =
   [ "print_int"; "print_long"; "print_double"; "checksum"; "checksum_double" ]
 
+(** Which fusion rules a decode applies ({!Fuse} re-exports this type and
+    parses it from [SXE_FUSE]). *)
+type selection = All | Off | Rules of string list
+
+let enables sel rule =
+  match sel with All -> true | Off -> false | Rules rs -> List.mem rule rs
+
+let selection_key = function
+  | All -> "all"
+  | Off -> "off"
+  | Rules rs -> String.concat "," (List.sort_uniq compare rs)
+
 (* ------------------------------------------------------------------ *)
 (* Decoded instructions                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Shared decoded payloads. Control transfers and array accesses appear
-    both as plain opcodes and as constituents of fused superinstructions,
-    so their fields live in named records. Where no value is forwarded,
-    the plain and the fused handlers run the same helper ([arr_load],
-    [arr_store], [jump_to], [branch_to]), so they cannot drift apart. *)
+(** Named payloads: every opcode a superinstruction is composed from
+    keeps its decoded fields in a record, and the fused opcode carries
+    its constituents' records side by side, so the plain and the fused
+    handlers run the same step function on the same payload. *)
 type jm = {
   joff : int;  (** flat target offset; -1 = outside the function *)
   jsrc : int;  (** source bid, for the profile edge *)
@@ -178,62 +202,17 @@ type ald = {
 }
 
 type ast = { sarr : int; sidx : int; ssrc : int; selem : aelem }
+type kon = { cdst : int; cv : int64  (** canonical sext pre-applied *) }
+type mov = { mdst : int; msrc : int; mext : bool }
 
-(** Fused const+binop payload ([k]: 0 Add, 1 Sub, 2 Mul, 3 And, 4 Or,
-    5 Xor, 6 Shl, 7 AShr, 8 LShr, 9 Div, 10 Rem — [kw] is the shift/div
-    width flag for [k >= 6]); [wd1] elides the constant's register write
-    when liveness proved it dead, [c2] is the binop's static cost. Named
-    so the chaining pass can embed it in a larger group. *)
-type cbin = {
-  d1 : int;
-  v : int64;
-  wd1 : bool;
-  k : int;
-  kw : bool;
-  dst : int;
-  l : int;
-  r : int;
-  ext : bool;
-  c2 : int;
-}
+(** An integer binop: [k] 0 Add, 1 Sub, 2 Mul, 3 And, 4 Or, 5 Xor,
+    6 Shl, 7 AShr, 8 LShr, 9 Div, 10 Rem; [kw] is the shift/div width
+    flag (64-bit) for [k >= 6]. *)
+type bin = { k : int; kw : bool; dst : int; l : int; r : int; ext : bool }
 
-(** Fused mov+jmp payload; [mw] elides a dead mov. *)
-type mvj = {
-  mdst : int;
-  msrc : int;
-  mext : bool;
-  mw : bool;
-  mc2 : int;
-  mj : jm;
-}
-
-(** Fused mov+br payload; [vw] elides a dead mov, [vc2] is the branch's
-    static cost. *)
-type mvb = {
-  vdst : int;
-  vsrc : int;
-  vext : bool;
-  vw : bool;
-  vc2 : int;
-  vb : br;
-}
-
-(** Chained const-binop pair with fuse-time operand forwarding. The
-    second binop's operand sources [s2l]/[s2r] are resolved when the
-    chain is built: 0 = register file, 1 = first binop's result,
-    3 = first constant, 4 = second constant (the codes are shared with
-    the [sbl]/[sbr]/[smv] fields of the longer chains, where 2 = second
-    binop's result and 5 = the mov's value). [xw1]/[xw2] elide result
-    writes that liveness proved dead after the whole group. *)
-type bb = {
-  a : cbin;
-  hb : int;
-  b2 : cbin;
-  s2l : int;
-  s2r : int;
-  xw1 : bool;
-  xw2 : bool;
-}
+type ssub = { xr : int; sh : int  (** shift-in/out amount: 56, 48 or 0 *) }
+type gld = { gdst : int; gslot : int; gsign : bool; gext : bool }
+type gst = { gsl : int; gsrc : int }
 
 (** One decoded instruction. [ext] marks destinations that the canonical
     "32-bit machine" re-extends ([I32] destination registers); faithful
@@ -243,26 +222,26 @@ type bb = {
     lazily). *)
 type pi =
   | PNop  (** [JustExt]: ticks, costs 0, no effect *)
-  | PConstI of { dst : int; v : int64 }  (** canonical sext pre-applied *)
+  | PConstI of kon
   | PConstF of { dst : int; v : float }
-  | PMovI of { dst : int; src : int; ext : bool }
+  | PMovI of mov
   | PMovF of { dst : int; src : int }
   | PNegI of { dst : int; src : int; ext : bool }
   | PNotI of { dst : int; src : int; ext : bool }
-  | PAdd of { dst : int; l : int; r : int; ext : bool }
-  | PSub of { dst : int; l : int; r : int; ext : bool }
-  | PMul of { dst : int; l : int; r : int; ext : bool }
-  | PAnd of { dst : int; l : int; r : int; ext : bool }
-  | POr of { dst : int; l : int; r : int; ext : bool }
-  | PXor of { dst : int; l : int; r : int; ext : bool }
-  | PShl of { dst : int; l : int; r : int; w64 : bool; ext : bool }
-  | PAShr of { dst : int; l : int; r : int; w64 : bool; ext : bool }
-  | PLShr of { dst : int; l : int; r : int; w64 : bool; ext : bool }
-  | PDiv of { dst : int; l : int; r : int; w64 : bool; ext : bool }
-  | PRem of { dst : int; l : int; r : int; w64 : bool; ext : bool }
+  | PAdd of bin
+  | PSub of bin
+  | PMul of bin
+  | PAnd of bin
+  | POr of bin
+  | PXor of bin
+  | PShl of bin
+  | PAShr of bin
+  | PLShr of bin
+  | PDiv of bin
+  | PRem of bin
   | PCmp of { dst : int; cond : cond; w64 : bool; l : int; r : int }
-  | PSext32 of { r : int }
-  | PSextSub of { r : int; sh : int }  (** shift-in/out amount: 56, 48 or 0 *)
+  | PSext32 of int
+  | PSextSub of ssub
   | PZext of { r : int; mask : int64; ext : bool }
       (** [ext]: canonical re-extension, as for every I32 definition *)
   | PFAdd of { dst : int; l : int; r : int }
@@ -282,10 +261,10 @@ type pi =
       (** global symbols are interned to dense process-wide slots at
           decode time; the per-access path is an array index, not a
           string-keyed hash lookup *)
-  | PGLoadI32 of { dst : int; slot : int; sign : bool; ext : bool }
+  | PGLoadI32 of gld
   | PGLoadI of { dst : int; slot : int; ext : bool }
   | PGStoreF of { slot : int; src : int }
-  | PGStoreI32 of { slot : int; src : int }
+  | PGStoreI32 of gst
   | PGStoreI of { slot : int; src : int }
   | PPrintI of { r : int; post_trap : bool }
       (** [post_trap]: the call named a destination; the builtin's effect
@@ -312,182 +291,38 @@ type pi =
   | PRet0
   | PRetI of { r : int }
   | PRetF of { r : int }
-  (* Fused superinstructions (see [fuse_code]). Each constructor holds
-     the decoded fields of the adjacent pair it replaces; [c2] is the
-     second constituent's static cost, captured from the decoder's cost
-     table, so the fused handlers tick, check fuel and charge per
-     constituent exactly as the plain opcodes do.
-
-     The [w*] flags are liveness facts computed at fuse time: [wdst]
-     (resp. [wd1], [wsr]) is false when the intermediate register
-     written by that constituent is dead after the group — overwritten
-     within it, or not live out of the block — in which case the handler
-     skips the write and forwards the value locally. Registers are not
-     observable in a precode outcome (no trace/watch here; traps carry no
-     register state), so eliding a dead intermediate write is invisible. *)
-  | PConstBr of { d1 : int; v : int64; wd1 : bool; c2 : int; b : br }
-  | PLoadBr of { ld : ald; wdst : bool; c2 : int; b : br }
-  | PMovJmp of mvj
-  | PStoreJmp of { s : ast; c2 : int; j : jm }
-      (** loop-tail store: no data-dependency condition, the fused pair
-          only saves the dispatch between store and jump *)
-  | PConstJmp of { dst : int; v : int64; wd1 : bool; c2 : int; j : jm }
-  | PSextLoad of { sr : int; wsr : bool; c2 : int; ld : ald }
-  | PLoadSext of { ld : ald; c2 : int; xr : int; sh : int }
-      (** [sh = -1]: 32-bit re-extension (counts [sext32]); otherwise the
-          [SextSub] shift amount (counts [sext_sub]) *)
-  | PConstBin of cbin
-  | PLoadLoad of { l1 : ald; c2 : int; l2 : ald }
-  | PLoadStore of { ld : ald; c2 : int; s : ast }
-  | PStoreStore of { s1 : ast; c2 : int; s2 : ast }
-  (* Chained superinstructions: a second fusion pass merges a fused
-     group with the group (or terminator) that follows it. The embedded
-     payloads keep the write-elision flags computed for their original
-     positions — a skipped write is dead downstream, so the chained tail
-     never reads it; [hb]/[hm]/[cb] is the second group's head cost. *)
-  | PBinBin of bb
-  | PBinMovJmp of { a : cbin; xw : bool; hm : int; smv : int; m : mvj }
-  | PStoreMovJmp of { s : ast; hm : int; m : mvj }
-  (* Block-shaped superinstructions: a chained group covering a whole
-     hot basic block (Numeric Sort's sift loop), built by iterating the
-     chain pass to a fixpoint. Every register read of a value produced
-     earlier in the group is forwarded through a local (the [s*]/[z*]
-     source codes, resolved at fuse time), so the write flags can be
-     computed against liveness at the *end* of the group: a dead
-     intermediate never touches the register file at all. The groups
-     guarantee (fuse-time guards) that their written registers are
-     pairwise distinct, so a float-typed cell at run time — where the
-     loaded local keeps the stale integer register, as the structural
-     engine would — cannot alias a forwarded integer value. *)
-  | PMovBr of mvb
-  | PBinBinBr of { bb : bb; cb : int; sbl : int; sbr : int; b : br }
-  | PBinBinMovBr of { bb : bb; hm : int; smv : int; m : mvb; sbl : int; sbr : int }
-  | PLoadSxLoad of {
-      l1 : ald;
-      w1 : bool;
-      cs : int;  (** the Sext32 constituent's cost *)
-      sr : int;
-      wsr : bool;
-      f1 : bool;  (** the sext reads the first load's value *)
-      cl : int;  (** the second load's cost *)
-      l2 : ald;  (** [l2.lidx = sr]: indexed by the just-extended value *)
-    }
-  | PLoadSxLoadBr of {
-      l1 : ald;
-      w1 : bool;
-      cs : int;
-      sr : int;
-      wsr : bool;
-      f1 : bool;
-      cl : int;
-      l2 : ald;
-      w2 : bool;
-      cb : int;
-      sbl : int;  (** branch sources: 0 reg file, 1 load1, 2 sext, 3 load2 *)
-      sbr : int;
-      b : br;
-    }
-  | PSxLoadBin of {
-      sr : int;
-      wsr : bool;
-      cl : int;
-      ld : ald;  (** [ld.lidx = sr] *)
-      w1 : bool;
-      hb : int;
-      a : cbin;
-      s2l : int;  (** binop sources: 0 reg file, 1 load, 2 sext, 4 const *)
-      s2r : int;
-      xw : bool;
-    }
-  | PSxLoadBinLoadBr of {
-      sr : int;
-      wsr : bool;
-      cl : int;
-      ld : ald;
-      w1 : bool;
-      hb : int;
-      a : cbin;
-      s2l : int;
-      s2r : int;
-      xw : bool;
-      hl : int;
-      ld2 : ald;
-      w2 : bool;
-      si : int;  (** load2's index source: 0 reg file, 1 load1, 2 sext, 3 bin *)
-      cb : int;
-      sbl : int;  (** branch: 0 reg file, 1 load1, 2 sext, 3 bin, 5 load2 *)
-      sbr : int;
-      b : br;
-    }
-  | PLoad2Store2 of {
-      l1 : ald;
-      w1 : bool;
-      c2 : int;
-      l2 : ald;
-      w2 : bool;
-      c3 : int;
-      s1 : ast;
-      z1 : int;  (** store source: 0 reg file, 1 load1, 2 load2 *)
-      zr1 : bool;  (** same element kind: store the raw cell value back *)
-      c4 : int;
-      s2 : ast;
-      z2 : int;
-      zr2 : bool;
-    }
-  | PSwapJmp of {
-      l1 : ald;
-      w1 : bool;
-      c2 : int;
-      l2 : ald;
-      w2 : bool;
-      c3 : int;
-      s1 : ast;
-      z1 : int;
-      zr1 : bool;
-      c4 : int;
-      s2 : ast;
-      z2 : int;
-      zr2 : bool;
-      hm : int;
-      smv : int;  (** mov source: 0 reg file, 1 load1, 2 load2 *)
-      m : mvj;
-    }
-  | PBinSext of { a : cbin; cs : int; xw : bool }
-      (** const+binop whose result register is immediately re-extended
-          ([Sext32 a.dst]): the pre-extension write is overwritten in the
-          same slot, so only the extended value ([xw]) can reach the
-          register file *)
-  | PBinSextMovJmp of {
-      a : cbin;
-      cs : int;
-      xw : bool;
-      hm : int;
-      smv : int;  (** mov source: 0 reg file, 1 sext result, 3 const *)
-      m : mvj;
-    }
-  | PSextMovJmp of { xr : int; xw : bool; hm : int; smv : int; m : mvj }
-  | PGStoreGLoad of {
-      sslot : int;
-      src : int;
-      c2 : int;
-      ldst : int;
-      lslot : int;
-      lsign : bool;
-      lext : bool;
-      wl : bool;
-    }  (** 32-bit global store followed by a 32-bit global load (the
-           seed-update idiom in Numeric Sort's PRNG); executed verbatim *)
-  | PGLoadBinBin of {
-      gdst : int;
-      gslot : int;
-      gsign : bool;
-      gext : bool;
-      wg : bool;
-      hb : int;  (** the first const's head cost, charged by the handler *)
-      sal : int;  (** bin1 operand sources: 0 reg file, 6 loaded global *)
-      sar : int;
-      bb : bb;  (** [bb]'s 0-source codes may be upgraded to 6 as well *)
-    }
+  (* Superinstructions: one constructor per row of [shapes], carrying
+     its constituents' payloads in program order ([PLoadSextSub] is the
+     [SextSub] form of the [LoadSext] row). *)
+  | PConstBr of kon * br
+  | PLoadBr of ald * br
+  | PMovJmp of mov * jm
+  | PStoreJmp of ast * jm
+  | PSextLoad of int * ald
+  | PLoadSext of ald * int
+  | PLoadSextSub of ald * ssub
+  | PConstBin of kon * bin
+  | PLoadLoad of ald * ald
+  | PLoadStore of ald * ast
+  | PStoreStore of ast * ast
+  | PBinBin of kon * bin * kon * bin
+  | PBinMovJmp of kon * bin * mov * jm
+  | PStoreMovJmp of ast * mov * jm
+  | PMovBr of mov * br
+  | PBinBinBr of kon * bin * kon * bin * br
+  | PBinBinMovBr of kon * bin * kon * bin * mov * br
+  | PLoadSxLoad of ald * int * ald
+  | PLoadSxLoadBr of ald * int * ald * br
+  | PSxLoadBin of int * ald * kon * bin
+  | PSxLoadBinLoadBr of int * ald * kon * bin * ald * br
+  | PLoad2Store2 of ald * ald * ast * ast
+  | PSwapJmp of ald * ald * ast * ast * mov * jm
+  | PBinSext of kon * bin * int
+  | PBinSextMovJmp of kon * bin * int * mov * jm
+  | PSextMovJmp of int * mov * jm
+  | PGStoreGLoad of gst * gld
+  | PGLoadBinBin of gld * kon * bin * kon * bin
+  | PConstJmp of kon * jm
 
 type pfunc = {
   fname : string;
@@ -495,6 +330,7 @@ type pfunc = {
   params : int array;  (** packed [(reg lsl 1) lor is_f64], in order *)
   code : pi array;  (** blocks laid out in bid order; empty for 0 blocks *)
   costs : int array;  (** static cycle weight per slot; 0 for [PNewArr] *)
+  ids : int array;  (** opcode id per slot (see [op_name]) *)
   fstats : (string * int) list;  (** fused groups per rule, rule order *)
   src : Cfg.func;
 }
@@ -503,17 +339,24 @@ let fusion_stats p = p.fstats
 let fused_total p = List.fold_left (fun a (_, n) -> a + n) 0 p.fstats
 
 (* ------------------------------------------------------------------ *)
-(* Opcode ids: the dispatch-pair histogram's key space                  *)
+(* Opcode ids: the dispatch counters' key space                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Small dense ids for every decoded opcode, fused superinstructions
-   included. The histogram ([Profile.pairs]) is a flat [nops * nops]
-   array indexed by [first * nops + second], the per-opcode dispatch
-   counts ([Profile.ops]) an [nops] array; [op_name] is the reporting
-   side. Keep [op_id] and the two name tables in sync when adding an
-   opcode. *)
+(* Plain opcodes, ids [0 .. nplain - 1]: each covers one flat slot. The
+   decoder stores every slot's id in [pfunc.ids]; fused ids follow, one
+   per row of [shapes]. *)
+let plain_names =
+  [|
+    "Nop"; "ConstI"; "ConstF"; "MovI"; "MovF"; "NegI"; "NotI"; "Add"; "Sub";
+    "Mul"; "And"; "Or"; "Xor"; "Shl"; "AShr"; "LShr"; "Div"; "Rem"; "Cmp";
+    "Sext32"; "SextSub"; "Zext"; "FAdd"; "FSub"; "FMul"; "FDiv"; "FNeg";
+    "FCmp"; "ItoF"; "D2I"; "D2L"; "NewArr"; "ArrLoad"; "ArrStore"; "ArrLen";
+    "GLoadF"; "GLoadI32"; "GLoadI"; "GStoreF"; "GStoreI32"; "GStoreI";
+    "PrintI"; "PrintF"; "CheckI"; "CheckF"; "TrapOp"; "CallUser"; "Jmp";
+    "Br"; "Ret0"; "RetI"; "RetF";
+  |]
 
-let op_id = function
+let plain_id = function
   | PNop -> 0
   | PConstI _ -> 1
   | PConstF _ -> 2
@@ -566,75 +409,175 @@ let op_id = function
   | PRet0 -> 49
   | PRetI _ -> 50
   | PRetF _ -> 51
-  | PConstBr _ -> 52
-  | PLoadBr _ -> 53
-  | PMovJmp _ -> 54
-  | PStoreJmp _ -> 55
-  | PSextLoad _ -> 56
-  | PLoadSext _ -> 57
-  | PConstBin _ -> 58
-  | PLoadLoad _ -> 59
-  | PLoadStore _ -> 60
-  | PStoreStore _ -> 61
-  | PBinBin _ -> 62
-  | PBinMovJmp _ -> 63
-  | PStoreMovJmp _ -> 64
-  | PMovBr _ -> 65
-  | PBinBinBr _ -> 66
-  | PBinBinMovBr _ -> 67
-  | PLoadSxLoad _ -> 68
-  | PLoadSxLoadBr _ -> 69
-  | PSxLoadBin _ -> 70
-  | PSxLoadBinLoadBr _ -> 71
-  | PLoad2Store2 _ -> 72
-  | PSwapJmp _ -> 73
-  | PBinSext _ -> 74
-  | PBinSextMovJmp _ -> 75
-  | PSextMovJmp _ -> 76
-  | PGStoreGLoad _ -> 77
-  | PGLoadBinBin _ -> 78
-  | PConstJmp _ -> 79
-
-(* Plain opcodes, ids [0 .. 51]: each covers one flat slot. *)
-let plain_names =
-  [|
-    "Nop"; "ConstI"; "ConstF"; "MovI"; "MovF"; "NegI"; "NotI"; "Add"; "Sub";
-    "Mul"; "And"; "Or"; "Xor"; "Shl"; "AShr"; "LShr"; "Div"; "Rem"; "Cmp";
-    "Sext32"; "SextSub"; "Zext"; "FAdd"; "FSub"; "FMul"; "FDiv"; "FNeg";
-    "FCmp"; "ItoF"; "D2I"; "D2L"; "NewArr"; "ArrLoad"; "ArrStore"; "ArrLen";
-    "GLoadF"; "GLoadI32"; "GLoadI"; "GStoreF"; "GStoreI32"; "GStoreI";
-    "PrintI"; "PrintF"; "CheckI"; "CheckF"; "TrapOp"; "CallUser"; "Jmp";
-    "Br"; "Ret0"; "RetI"; "RetF";
-  |]
-
-(* Fused superinstructions, ids from 52 on, with the number of flat
-   slots each covers (its constituent count; the handler steps [pc] by
-   this much). *)
-let fused_ops =
-  [|
-    ("ConstBr", 2); ("LoadBr", 2); ("MovJmp", 2); ("StoreJmp", 2);
-    ("SextLoad", 2); ("LoadSext", 2); ("ConstBin", 2); ("LoadLoad", 2);
-    ("LoadStore", 2); ("StoreStore", 2); ("BinBin", 4); ("BinMovJmp", 4);
-    ("StoreMovJmp", 3); ("MovBr", 2); ("BinBinBr", 5); ("BinBinMovBr", 6);
-    ("LoadSxLoad", 3); ("LoadSxLoadBr", 4); ("SxLoadBin", 4);
-    ("SxLoadBinLoadBr", 6); ("Load2Store2", 4); ("SwapJmp", 6);
-    ("BinSext", 3); ("BinSextMovJmp", 5); ("SextMovJmp", 3);
-    ("GStoreGLoad", 2); ("GLoadBinBin", 5); ("ConstJmp", 2);
-  |]
+  | _ -> invalid_arg "Precode.plain_id: fused opcode"
 
 let nplain = Array.length plain_names
-let nops = nplain + Array.length fused_ops
+
+(* ------------------------------------------------------------------ *)
+(* The superinstruction table                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** One fused shape. [parts] are its two constituents in program order:
+    plain opcodes (["Bin"] is any integer binop, ["Sext"] either
+    extension) for a pair rule, or for a [chain] row the two groups it
+    merges, by row name. [fuse] is the match and its guard: it builds
+    the fused opcode from the head slot's op and the op right after the
+    head's group, or declines. [ctl]: the shape ends in a control
+    transfer (it sets [pc] itself, and the dispatch-pair histogram
+    breaks there). *)
+type shape = {
+  name : string;
+  rule : string;  (** the {!Fuse} rule that enables it, or ["chain"] *)
+  parts : string * string;
+  ctl : bool;
+  fuse : pi * pi -> pi option;
+}
+
+let shape ?(ctl = false) name rule parts fuse = { name; rule; parts; ctl; fuse }
+let reads (b : br) r = b.bl = r || b.brx = r
+
+(* Row order is the id order (ids [nplain ..]). A pair row fuses two
+   adjacent plain slots in the first pass; [chain] rows merge a group
+   with the group that follows it, in a second pass iterated to a
+   fixpoint, so a whole hot basic block can collapse into one dispatch
+   (compress's loop step [Const; Add; Mov; Jmp] is one [BinMovJmp]). No
+   two rows of a pass match the same pair of opcodes, so the row order
+   is not a priority order. Several guards ask for distinct registers
+   that the composed handlers do not need; they keep the selection that
+   golden/dispatch.tsv records. *)
+let shapes =
+  [|
+    shape "ConstBr" "const-br" ("ConstI", "Br") ~ctl:true (function
+      | PConstI c, PBr b when reads b c.cdst -> Some (PConstBr (c, b))
+      | _ -> None);
+    shape "LoadBr" "load-br" ("ArrLoad", "Br") ~ctl:true (function
+      | PArrLoad l, PBr b when reads b l.ldst -> Some (PLoadBr (l, b))
+      | _ -> None);
+    shape "MovJmp" "mov-jmp" ("MovI", "Jmp") ~ctl:true (function
+      | PMovI m, PJmp j -> Some (PMovJmp (m, j))
+      | _ -> None);
+    shape "StoreJmp" "store-jmp" ("ArrStore", "Jmp") ~ctl:true (function
+      | PArrStore s, PJmp j -> Some (PStoreJmp (s, j))
+      | _ -> None);
+    shape "SextLoad" "sext-load" ("Sext32", "ArrLoad") (function
+      | PSext32 x, PArrLoad l when l.lidx = x && l.larr <> x -> Some (PSextLoad (x, l))
+      | _ -> None);
+    shape "LoadSext" "load-sext" ("ArrLoad", "Sext") (function
+      | PArrLoad l, PSext32 x when x = l.ldst -> Some (PLoadSext (l, x))
+      | PArrLoad l, PSextSub x when x.xr = l.ldst -> Some (PLoadSextSub (l, x))
+      | _ -> None);
+    shape "ConstBin" "const-arith" ("ConstI", "Bin") (function
+      | ( PConstI c,
+          ( PAdd b | PSub b | PMul b | PAnd b | POr b | PXor b | PShl b | PAShr b
+          | PLShr b | PDiv b | PRem b ) )
+        when b.l = c.cdst || b.r = c.cdst ->
+          Some (PConstBin (c, b))
+      | _ -> None);
+    shape "LoadLoad" "load-load" ("ArrLoad", "ArrLoad") (function
+      | PArrLoad l1, PArrLoad l2 -> Some (PLoadLoad (l1, l2))
+      | _ -> None);
+    shape "LoadStore" "load-store" ("ArrLoad", "ArrStore") (function
+      | PArrLoad l, PArrStore s -> Some (PLoadStore (l, s))
+      | _ -> None);
+    shape "StoreStore" "store-store" ("ArrStore", "ArrStore") (function
+      | PArrStore s1, PArrStore s2 -> Some (PStoreStore (s1, s2))
+      | _ -> None);
+    shape "BinBin" "chain" ("ConstBin", "ConstBin") (function
+      | PConstBin (c1, b1), PConstBin (c2, b2) -> Some (PBinBin (c1, b1, c2, b2))
+      | _ -> None);
+    shape "BinMovJmp" "chain" ("ConstBin", "MovJmp") ~ctl:true (function
+      | PConstBin (c, b), PMovJmp (m, j) -> Some (PBinMovJmp (c, b, m, j))
+      | _ -> None);
+    shape "StoreMovJmp" "chain" ("ArrStore", "MovJmp") ~ctl:true (function
+      | PArrStore s, PMovJmp (m, j) -> Some (PStoreMovJmp (s, m, j))
+      | _ -> None);
+    shape "MovBr" "mov-br" ("MovI", "Br") ~ctl:true (function
+      | PMovI m, PBr b -> Some (PMovBr (m, b))
+      | _ -> None);
+    shape "BinBinBr" "chain" ("BinBin", "Br") ~ctl:true (function
+      | PBinBin (c1, b1, c2, b2), PBr b -> Some (PBinBinBr (c1, b1, c2, b2, b))
+      | _ -> None);
+    shape "BinBinMovBr" "chain" ("BinBin", "MovBr") ~ctl:true (function
+      | PBinBin (c1, b1, c2, b2), PMovBr (m, b) -> Some (PBinBinMovBr (c1, b1, c2, b2, m, b))
+      | _ -> None);
+    shape "LoadSxLoad" "chain" ("ArrLoad", "SextLoad") (function
+      | PArrLoad l1, PSextLoad (x, l2)
+        when x <> l2.ldst && l1.ldst <> l2.ldst && l2.larr <> l1.ldst ->
+          Some (PLoadSxLoad (l1, x, l2))
+      | _ -> None);
+    shape "LoadSxLoadBr" "chain" ("LoadSxLoad", "Br") ~ctl:true (function
+      | PLoadSxLoad (l1, x, l2), PBr b when l1.ldst <> l2.ldst ->
+          Some (PLoadSxLoadBr (l1, x, l2, b))
+      | _ -> None);
+    shape "SxLoadBin" "chain" ("SextLoad", "ConstBin") (function
+      | PSextLoad (x, l), PConstBin (c, b) when x <> l.ldst -> Some (PSxLoadBin (x, l, c, b))
+      | _ -> None);
+    shape "SxLoadBinLoadBr" "chain" ("SxLoadBin", "LoadBr") ~ctl:true (function
+      | PSxLoadBin (x, l, c, b), PLoadBr (l2, br)
+        when List.for_all
+               (fun q -> q <> l2.ldst && q <> l2.larr)
+               [ x; l.ldst; c.cdst; b.dst ] ->
+          Some (PSxLoadBinLoadBr (x, l, c, b, l2, br))
+      | _ -> None);
+    shape "Load2Store2" "chain" ("LoadLoad", "StoreStore") (function
+      | PLoadLoad (l1, l2), PStoreStore (s1, s2) when l1.ldst <> l2.ldst ->
+          Some (PLoad2Store2 (l1, l2, s1, s2))
+      | _ -> None);
+    shape "SwapJmp" "chain" ("Load2Store2", "MovJmp") ~ctl:true (function
+      | PLoad2Store2 (l1, l2, s1, s2), PMovJmp (m, j) -> Some (PSwapJmp (l1, l2, s1, s2, m, j))
+      | _ -> None);
+    shape "BinSext" "chain" ("ConstBin", "Sext32") (function
+      | PConstBin (c, b), PSext32 x when x = b.dst -> Some (PBinSext (c, b, x))
+      | _ -> None);
+    shape "BinSextMovJmp" "chain" ("BinSext", "MovJmp") ~ctl:true (function
+      | PBinSext (c, b, x), PMovJmp (m, j) -> Some (PBinSextMovJmp (c, b, x, m, j))
+      | _ -> None);
+    shape "SextMovJmp" "chain" ("Sext32", "MovJmp") ~ctl:true (function
+      | PSext32 x, PMovJmp (m, j) -> Some (PSextMovJmp (x, m, j))
+      | _ -> None);
+    shape "GStoreGLoad" "gstore-gload" ("GStoreI32", "GLoadI32") (function
+      | PGStoreI32 s, PGLoadI32 g -> Some (PGStoreGLoad (s, g))
+      | _ -> None);
+    shape "GLoadBinBin" "chain" ("GLoadI32", "BinBin") (function
+      | PGLoadI32 g, PBinBin (c1, b1, c2, b2) -> Some (PGLoadBinBin (g, c1, b1, c2, b2))
+      | _ -> None);
+    shape "ConstJmp" "const-jmp" ("ConstI", "Jmp") ~ctl:true (function
+      | PConstI c, PJmp j -> Some (PConstJmp (c, j))
+      | _ -> None);
+  |]
+
+let nops = nplain + Array.length shapes
+
+let shape_names = Array.to_list (Array.map (fun s -> s.name) shapes)
 
 let op_name id =
   if id >= 0 && id < nplain then plain_names.(id)
-  else if id >= nplain && id < nops then fst fused_ops.(id - nplain)
+  else if id >= nplain && id < nops then shapes.(id - nplain).name
   else "?"
 
-let op_width id = if id >= nplain && id < nops then snd fused_ops.(id - nplain) else 1
+(* Everything else about a shape is derived from its row: its width (the
+   flat slots it covers: the handler steps [pc] by this much), the rule
+   names {!Fuse} accepts, and the opcodes that end the histogram's
+   straight-line chains. *)
+let widths =
+  let rec width part =
+    match Array.find_opt (fun s -> s.name = part) shapes with
+    | Some { parts = a, b; _ } -> width a + width b
+    | None -> 1
+  in
+  Array.init nops (fun id -> if id < nplain then 1 else width shapes.(id - nplain).name)
 
-(** How many flat slots a decoded op covers: 1 for plain ops, the
-    constituent count for fused superinstructions. *)
-let group_width op = op_width (op_id op)
+let op_width id = if id >= 0 && id < nops then widths.(id) else 1
+
+let ends_chain =
+  Array.init nops (fun id ->
+      if id >= nplain then shapes.(id - nplain).ctl
+      else List.mem plain_names.(id) [ "Jmp"; "Br"; "Ret0"; "RetI"; "RetF" ])
+
+let rule_names =
+  Array.fold_left
+    (fun acc s -> if List.mem s.rule acc then acc else acc @ [ s.rule ])
+    [] shapes
 
 (** Enable dispatch-pair collection on [prof] with this engine's opcode
     id space. *)
@@ -658,603 +601,55 @@ let dispatch_ops (prof : Profile.t) : (string * int * int) list =
 (* Superinstruction fusion                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Peephole pass over the freshly laid-out [code]/[costs] arrays: rewrite
-   hot adjacent pairs into fused opcodes. The rewrite is in-place and
-   head-anchored — slot [i] becomes the fused opcode and
-   the constituent slots [i+1 ..] keep their original contents, which
-   simply become unreachable (the fused handler jumps past them), so
-   every flat jump offset in the function stays valid. A group never
-   includes a slot that starts a basic block: block starts are the only
-   possible branch targets, so a target can land on a fused head (fine —
-   that is where the group's first constituent lives) but never in the
-   middle of a group. Constituent costs are taken from the [costs] array
-   the decoder just filled from the shared {!Cost} table — the fused
-   handlers charge the identical weights in the identical order, so the
-   [cycles] counter cannot drift from the structural engine's.
-
-   [la.(k)] is the set of registers live {e after} flat slot [k]
-   (terminator slots carry the block's live-out); it decides the [w*]
-   dead-intermediate-write flags on the fused records. *)
-(* An integer binop's [cbin] encoding ([k], width flag, operands), for
-   the const-arith rule; [None] for anything that is not a two-operand
-   integer binop. *)
-let bin_fields = function
-  | PAdd { dst; l; r; ext } -> Some (0, false, dst, l, r, ext)
-  | PSub { dst; l; r; ext } -> Some (1, false, dst, l, r, ext)
-  | PMul { dst; l; r; ext } -> Some (2, false, dst, l, r, ext)
-  | PAnd { dst; l; r; ext } -> Some (3, false, dst, l, r, ext)
-  | POr { dst; l; r; ext } -> Some (4, false, dst, l, r, ext)
-  | PXor { dst; l; r; ext } -> Some (5, false, dst, l, r, ext)
-  | PShl { dst; l; r; w64; ext } -> Some (6, w64, dst, l, r, ext)
-  | PAShr { dst; l; r; w64; ext } -> Some (7, w64, dst, l, r, ext)
-  | PLShr { dst; l; r; w64; ext } -> Some (8, w64, dst, l, r, ext)
-  | PDiv { dst; l; r; w64; ext } -> Some (9, w64, dst, l, r, ext)
-  | PRem { dst; l; r; w64; ext } -> Some (10, w64, dst, l, r, ext)
-  | _ -> None
-
-(* [bin_fields op] when the binop reads the just-written constant [d1]. *)
-let cbin_candidate d1 op =
-  match bin_fields op with
-  | Some (_, _, _, l, r, _) as s when l = d1 || r = d1 -> s
-  | _ -> None
-
-let fuse_code ~(fuse : Fuse.selection) ~(is_start : bool array)
-    ~(la : Bitset.t array) (code : pi array) (costs : int array) :
-    (string * int) list =
+(* Peephole pass over the freshly laid-out [code]/[ids] arrays. The
+   rewrite is in-place and head-anchored: slot [i] becomes the fused
+   opcode and the constituent slots [i+1 ..] keep their original
+   contents, which simply become unreachable (the fused handler steps
+   past them), so every flat jump offset in the function stays valid. A
+   group never includes a slot that starts a basic block: block starts
+   are the only possible branch targets, so a target can land on a
+   fused head (that is where the group's first constituent lives) but
+   never in the middle of a group. The constituent slots also keep their
+   costs, which the fused handler charges one by one. *)
+let fuse_code ~(fuse : selection) ~(is_start : bool array) (code : pi array)
+    (ids : int array) : (string * int) list =
   let n = Array.length code in
   let counts = Hashtbl.create 8 in
-  let hit rule =
-    Hashtbl.replace counts rule
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule))
-  in
-  let on = Fuse.enables fuse in
-  (* a slot may join a group only if it exists and no branch target lands
-     on it; the group head itself may be a target (execution starts at
-     the first constituent either way) *)
   let free k = k < n && not is_start.(k) in
-  let i = ref 0 in
-  while !i < n do
-    let i1 = !i + 1 in
-    let w =
-      if not (free i1) then 1
-      else
-        match (code.(!i), code.(i1)) with
-        | PConstI { dst = d1; v }, PBr b
-          when on "const-br" && (b.bl = d1 || b.brx = d1) ->
-            code.(!i) <-
-              PConstBr
-                {
-                  d1;
-                  v;
-                  wd1 = Bitset.mem la.(i1) d1;
-                  c2 = costs.(i1);
-                  b;
-                };
-            hit "const-br";
-            2
-        | PConstI { dst = d1; v }, op2
-          when on "const-arith" && cbin_candidate d1 op2 <> None -> (
-            match cbin_candidate d1 op2 with
-            | Some (k, kw, dst, l, r, ext) ->
-                code.(!i) <-
-                  PConstBin
-                    {
-                      d1;
-                      v;
-                      wd1 = d1 <> dst && Bitset.mem la.(i1) d1;
-                      k;
-                      kw;
-                      dst;
-                      l;
-                      r;
-                      ext;
-                      c2 = costs.(i1);
-                    };
-                hit "const-arith";
-                2
-            | None -> assert false)
-        | PArrLoad ld, PBr b
-          when on "load-br" && (b.bl = ld.ldst || b.brx = ld.ldst) ->
-            code.(!i) <-
-              PLoadBr
-                { ld; wdst = Bitset.mem la.(i1) ld.ldst; c2 = costs.(i1); b };
-            hit "load-br";
-            2
-        | PArrLoad ld, PSext32 { r }
-          when on "load-sext" && r = ld.ldst ->
-            code.(!i) <- PLoadSext { ld; c2 = costs.(i1); xr = r; sh = -1 };
-            hit "load-sext";
-            2
-        | PArrLoad ld, PSextSub { r; sh }
-          when on "load-sext" && r = ld.ldst ->
-            code.(!i) <- PLoadSext { ld; c2 = costs.(i1); xr = r; sh };
-            hit "load-sext";
-            2
-        | PMovI { dst; src; ext }, PJmp j when on "mov-jmp" ->
-            code.(!i) <-
-              PMovJmp
-                {
-                  mdst = dst;
-                  msrc = src;
-                  mext = ext;
-                  mw = Bitset.mem la.(i1) dst;
-                  mc2 = costs.(i1);
-                  mj = j;
-                };
-            hit "mov-jmp";
-            2
-        | PMovI { dst; src; ext }, PBr b when on "mov-br" ->
-            (* [la.(!i)] (live after the mov) includes the branch's own
-               reads, so a mov the branch observes is always written *)
-            code.(!i) <-
-              PMovBr
-                {
-                  vdst = dst;
-                  vsrc = src;
-                  vext = ext;
-                  vw = Bitset.mem la.(!i) dst;
-                  vc2 = costs.(i1);
-                  vb = b;
-                };
-            hit "mov-br";
-            2
-        | PArrStore s, PJmp j when on "store-jmp" ->
-            code.(!i) <- PStoreJmp { s; c2 = costs.(i1); j };
-            hit "store-jmp";
-            2
-        | PConstI { dst; v }, PJmp j when on "const-jmp" ->
-            code.(!i) <-
-              PConstJmp
-                { dst; v; wd1 = Bitset.mem la.(i1) dst; c2 = costs.(i1); j };
-            hit "const-jmp";
-            2
-        | PGStoreI32 { slot = sslot; src }, PGLoadI32 { dst; slot; sign; ext }
-          when on "gstore-gload" ->
-            code.(!i) <-
-              PGStoreGLoad
-                {
-                  sslot;
-                  src;
-                  c2 = costs.(i1);
-                  ldst = dst;
-                  lslot = slot;
-                  lsign = sign;
-                  lext = ext;
-                  wl = Bitset.mem la.(i1) dst;
-                };
-            hit "gstore-gload";
-            2
-        | PSext32 { r }, PArrLoad ld
-          when on "sext-load" && ld.lidx = r && ld.larr <> r ->
-            (* [larr <> r]: the handler substitutes the extended index
-               locally and must not have the array handle alias it *)
-            code.(!i) <-
-              PSextLoad
-                {
-                  sr = r;
-                  wsr = r <> ld.ldst && Bitset.mem la.(i1) r;
-                  c2 = costs.(i1);
-                  ld;
-                };
-            hit "sext-load";
-            2
-        | PArrLoad l1, PArrLoad l2 when on "load-load" ->
-            code.(!i) <- PLoadLoad { l1; c2 = costs.(i1); l2 };
-            hit "load-load";
-            2
-        | PArrLoad ld, PArrStore s when on "load-store" ->
-            code.(!i) <- PLoadStore { ld; c2 = costs.(i1); s };
-            hit "load-store";
-            2
-        | PArrStore s1, PArrStore s2 when on "store-store" ->
-            code.(!i) <- PStoreStore { s1; c2 = costs.(i1); s2 };
-            hit "store-store";
-            2
-        | _ -> 1
-    in
-    i := !i + w
-  done;
-  (* Second pass: chain a fused group with the group (or lone
-     terminator) that follows it, iterated to a fixpoint so a whole hot
-     basic block can collapse into one superinstruction. In-place and
-     head-anchored like the first pass; the second group's head slot
-     must not be a branch target (its shadowed op would still execute
-     correctly on entry, but fusion never crosses a target by contract).
-     The embedded payloads carry their own internal costs; only the
-     second head's cost needs capturing here.
-
-     Chaining re-resolves forwarding: every in-group read of an
-     in-group-written register gets a fuse-time source code pointing at
-     the producing constituent's local, and the write-elision flags are
-     recomputed against liveness at the *end* of the merged group
-     ([la.(e)]) minus registers some later constituent overwrites — so
-     a temporary that only feeds the next instruction never touches the
-     register file. *)
-  if on "chain" then begin
-    let live e q = Bitset.mem la.(e) q in
-    (* chained const-binop pair: source codes 0 reg file / 1 bin1 /
-       2 bin2 / 3 const1 / 4 const2 (5 = mov value, in the longer
-       chains); [ovr] lists registers a tail constituent overwrites *)
-    let mk_bb a hb b2 e ovr =
-      let later q = List.mem q ovr in
-      let src q =
-        if q = b2.d1 then 4
-        else if q = a.dst then 1
-        else if q = a.d1 then 3
-        else 0
-      in
-      {
-        a =
-          {
-            a with
-            wd1 =
-              a.d1 <> a.dst && a.d1 <> b2.d1 && a.d1 <> b2.dst
-              && (not (later a.d1))
-              && live e a.d1;
-          };
-        hb;
-        b2 =
-          {
-            b2 with
-            wd1 = b2.d1 <> b2.dst && (not (later b2.d1)) && live e b2.d1;
-          };
-        s2l = src b2.l;
-        s2r = src b2.r;
-        xw1 =
-          a.dst <> b2.d1 && a.dst <> b2.dst
-          && (not (later a.dst))
-          && live e a.dst;
-        xw2 = (not (later b2.dst)) && live e b2.dst;
-      }
-    in
-    let again = ref true in
-    while !again do
-      again := false;
-      let i = ref 0 in
-      while !i < n do
-        let w1 = group_width code.(!i) in
-        let ih2 = !i + w1 in
-        let w =
-          if not (free ih2) then w1
-          else
-            match (code.(!i), code.(ih2)) with
-            | PConstBin a, PConstBin b2 ->
-                code.(!i) <- PBinBin (mk_bb a costs.(ih2) b2 (ih2 + 1) []);
-                hit "chain";
-                4
-            | PConstBin a, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PBinMovJmp
-                    {
-                      a =
-                        {
-                          a with
-                          wd1 =
-                            a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
-                        };
-                      xw = a.dst <> m.mdst && live e a.dst;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = a.dst then 1
-                         else if m.msrc = a.d1 then 3
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                4
-            | PArrStore s, PMovJmp m ->
-                code.(!i) <- PStoreMovJmp { s; hm = costs.(ih2); m };
-                hit "chain";
-                3
-            | PBinBin bb0, PBr b ->
-                let e = ih2 in
-                let a = bb0.a and b2 = bb0.b2 in
-                let sb q =
-                  if q = b2.dst then 2
-                  else if q = b2.d1 then 4
-                  else if q = a.dst then 1
-                  else if q = a.d1 then 3
-                  else 0
-                in
-                code.(!i) <-
-                  PBinBinBr
-                    {
-                      bb = mk_bb a bb0.hb b2 e [];
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                5
-            | PBinBin bb0, PMovBr m ->
-                let e = ih2 + 1 in
-                let a = bb0.a and b2 = bb0.b2 in
-                let smv_of q =
-                  if q = b2.dst then 2
-                  else if q = b2.d1 then 4
-                  else if q = a.dst then 1
-                  else if q = a.d1 then 3
-                  else 0
-                in
-                let sb q = if q = m.vdst then 5 else smv_of q in
-                code.(!i) <-
-                  PBinBinMovBr
-                    {
-                      bb = mk_bb a bb0.hb b2 e [ m.vdst ];
-                      hm = costs.(ih2);
-                      smv = smv_of m.vsrc;
-                      m = { m with vw = live e m.vdst };
-                      sbl = sb m.vb.bl;
-                      sbr = sb m.vb.brx;
-                    };
-                hit "chain";
-                6
-            | PArrLoad l1, PSextLoad sx
-              when sx.sr <> sx.ld.ldst && l1.ldst <> sx.ld.ldst
-                   && sx.ld.larr <> l1.ldst ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PLoadSxLoad
-                    {
-                      l1;
-                      w1 = l1.ldst <> sx.sr && live e l1.ldst;
-                      cs = costs.(ih2);
-                      sr = sx.sr;
-                      wsr = live e sx.sr;
-                      f1 = sx.sr = l1.ldst;
-                      cl = sx.c2;
-                      l2 = sx.ld;
-                    };
-                hit "chain";
-                3
-            | PLoadSxLoad z, PBr b when z.l1.ldst <> z.l2.ldst ->
-                let e = ih2 in
-                let sb q =
-                  if q = z.l2.ldst then 3
-                  else if q = z.sr then 2
-                  else if q = z.l1.ldst then 1
-                  else 0
-                in
-                code.(!i) <-
-                  PLoadSxLoadBr
-                    {
-                      l1 = z.l1;
-                      w1 = z.l1.ldst <> z.sr && live e z.l1.ldst;
-                      cs = z.cs;
-                      sr = z.sr;
-                      wsr = live e z.sr;
-                      f1 = z.f1;
-                      cl = z.cl;
-                      l2 = z.l2;
-                      w2 = live e z.l2.ldst;
-                      cb = costs.(ih2);
-                      sbl = sb b.bl;
-                      sbr = sb b.brx;
-                      b;
-                    };
-                hit "chain";
-                4
-            | PSextLoad sx, PConstBin cb when sx.sr <> sx.ld.ldst ->
-                let e = ih2 + 1 in
-                let src q =
-                  if q = cb.d1 then 4
-                  else if q = sx.ld.ldst then 1
-                  else if q = sx.sr then 2
-                  else 0
-                in
-                code.(!i) <-
-                  PSxLoadBin
-                    {
-                      sr = sx.sr;
-                      wsr =
-                        sx.sr <> cb.d1 && sx.sr <> cb.dst && live e sx.sr;
-                      cl = sx.c2;
-                      ld = sx.ld;
-                      w1 =
-                        sx.ld.ldst <> cb.d1 && sx.ld.ldst <> cb.dst
-                        && live e sx.ld.ldst;
-                      hb = costs.(ih2);
-                      a = { cb with wd1 = cb.d1 <> cb.dst && live e cb.d1 };
-                      s2l = src cb.l;
-                      s2r = src cb.r;
-                      xw = live e cb.dst;
-                    };
-                hit "chain";
-                4
-            | PSxLoadBin y, PLoadBr lb
-              when lb.ld.ldst <> y.sr && lb.ld.ldst <> y.ld.ldst
-                   && lb.ld.ldst <> y.a.d1 && lb.ld.ldst <> y.a.dst
-                   && lb.ld.larr <> y.sr && lb.ld.larr <> y.ld.ldst
-                   && lb.ld.larr <> y.a.d1 && lb.ld.larr <> y.a.dst ->
-                let e = ih2 + 1 in
-                let src q =
-                  if q = y.a.dst then 3
-                  else if q = y.a.d1 then 4
-                  else if q = y.ld.ldst then 1
-                  else if q = y.sr then 2
-                  else 0
-                in
-                let sb q = if q = lb.ld.ldst then 5 else src q in
-                code.(!i) <-
-                  PSxLoadBinLoadBr
-                    {
-                      sr = y.sr;
-                      wsr =
-                        y.sr <> y.a.d1 && y.sr <> y.a.dst && live e y.sr;
-                      cl = y.cl;
-                      ld = y.ld;
-                      w1 =
-                        y.ld.ldst <> y.a.d1 && y.ld.ldst <> y.a.dst
-                        && live e y.ld.ldst;
-                      hb = y.hb;
-                      a = { y.a with wd1 = y.a.d1 <> y.a.dst && live e y.a.d1 };
-                      s2l = y.s2l;
-                      s2r = y.s2r;
-                      xw = live e y.a.dst;
-                      hl = costs.(ih2);
-                      ld2 = lb.ld;
-                      w2 = live e lb.ld.ldst;
-                      si = src lb.ld.lidx;
-                      cb = lb.c2;
-                      sbl = sb lb.b.bl;
-                      sbr = sb lb.b.brx;
-                      b = lb.b;
-                    };
-                hit "chain";
-                6
-            | PLoadLoad ll, PStoreStore ss when ll.l1.ldst <> ll.l2.ldst ->
-                let e = ih2 + 1 in
-                let d1 = ll.l1.ldst and d2 = ll.l2.ldst in
-                let unf1 =
-                  d1 = ll.l2.larr || d1 = ll.l2.lidx || d1 = ss.s1.sarr
-                  || d1 = ss.s1.sidx || d1 = ss.s2.sarr || d1 = ss.s2.sidx
-                in
-                let unf2 =
-                  d2 = ss.s1.sarr || d2 = ss.s1.sidx || d2 = ss.s2.sarr
-                  || d2 = ss.s2.sidx
-                in
-                let zc q = if q = d2 then 2 else if q = d1 then 1 else 0 in
-                let zr (s : ast) z =
-                  (z = 1 && s.selem = ll.l1.lelem)
-                  || (z = 2 && s.selem = ll.l2.lelem)
-                in
-                let z1 = zc ss.s1.ssrc and z2 = zc ss.s2.ssrc in
-                code.(!i) <-
-                  PLoad2Store2
-                    {
-                      l1 = ll.l1;
-                      w1 = unf1 || live e d1;
-                      c2 = ll.c2;
-                      l2 = ll.l2;
-                      w2 = unf2 || live e d2;
-                      c3 = costs.(ih2);
-                      s1 = ss.s1;
-                      z1;
-                      zr1 = zr ss.s1 z1;
-                      c4 = ss.c2;
-                      s2 = ss.s2;
-                      z2;
-                      zr2 = zr ss.s2 z2;
-                    };
-                hit "chain";
-                4
-            | PLoad2Store2 t, PMovJmp m ->
-                let e = ih2 + 1 in
-                let d1 = t.l1.ldst and d2 = t.l2.ldst in
-                let unf1 =
-                  d1 = t.l2.larr || d1 = t.l2.lidx || d1 = t.s1.sarr
-                  || d1 = t.s1.sidx || d1 = t.s2.sarr || d1 = t.s2.sidx
-                in
-                let unf2 =
-                  d2 = t.s1.sarr || d2 = t.s1.sidx || d2 = t.s2.sarr
-                  || d2 = t.s2.sidx
-                in
-                code.(!i) <-
-                  PSwapJmp
-                    {
-                      l1 = t.l1;
-                      w1 = unf1 || (d1 <> m.mdst && live e d1);
-                      c2 = t.c2;
-                      l2 = t.l2;
-                      w2 = unf2 || (d2 <> m.mdst && live e d2);
-                      c3 = t.c3;
-                      s1 = t.s1;
-                      z1 = t.z1;
-                      zr1 = t.zr1;
-                      c4 = t.c4;
-                      s2 = t.s2;
-                      z2 = t.z2;
-                      zr2 = t.zr2;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = d2 then 2
-                         else if m.msrc = d1 then 1
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                6
-            | PConstBin a, PSext32 { r } when r = a.dst ->
-                code.(!i) <-
-                  PBinSext
-                    {
-                      a = { a with wd1 = a.d1 <> a.dst && live ih2 a.d1 };
-                      cs = costs.(ih2);
-                      xw = live ih2 a.dst;
-                    };
-                hit "chain";
-                3
-            | PBinSext { a; cs; xw = _ }, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PBinSextMovJmp
-                    {
-                      a =
-                        {
-                          a with
-                          wd1 =
-                            a.d1 <> a.dst && a.d1 <> m.mdst && live e a.d1;
-                        };
-                      cs;
-                      xw = a.dst <> m.mdst && live e a.dst;
-                      hm = costs.(ih2);
-                      smv =
-                        (if m.msrc = a.dst then 1
-                         else if m.msrc = a.d1 then 3
-                         else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                5
-            | PSext32 { r }, PMovJmp m ->
-                let e = ih2 + 1 in
-                code.(!i) <-
-                  PSextMovJmp
-                    {
-                      xr = r;
-                      xw = r <> m.mdst && live e r;
-                      hm = costs.(ih2);
-                      smv = (if m.msrc = r then 1 else 0);
-                      m = { m with mw = live e m.mdst };
-                    };
-                hit "chain";
-                3
-            | PGLoadI32 { dst = gdst; slot; sign; ext }, PBinBin bb ->
-                let e = ih2 + 3 in
-                let a = bb.a and b2 = bb.b2 in
-                let up c q = if c = 0 && q = gdst then 6 else c in
-                code.(!i) <-
-                  PGLoadBinBin
-                    {
-                      gdst;
-                      gslot = slot;
-                      gsign = sign;
-                      gext = ext;
-                      wg =
-                        gdst <> a.d1 && gdst <> a.dst && gdst <> b2.d1
-                        && gdst <> b2.dst && live e gdst;
-                      hb = costs.(ih2);
-                      sal = (if a.l = gdst then 6 else 0);
-                      sar = (if a.r = gdst then 6 else 0);
-                      bb = { bb with s2l = up bb.s2l b2.l; s2r = up bb.s2r b2.r };
-                    };
-                hit "chain";
-                5
-            | _ -> w1
-        in
-        if w <> w1 then again := true;
-        i := !i + w
-      done
-    done
-  end;
+  let rows chain =
+    List.filter_map
+      (fun i ->
+        let s = shapes.(i) in
+        if (s.rule = "chain") = chain && enables fuse s.rule then Some (nplain + i, s)
+        else None)
+      (List.init (Array.length shapes) Fun.id)
+  in
+  (* one left-to-right scan; true if it fused anything *)
+  let pass rows =
+    let fused = ref false in
+    let i = ref 0 in
+    while !i < n do
+      let next = !i + widths.(ids.(!i)) in
+      (if free next then
+         let pair = (code.(!i), code.(next)) in
+         match List.find_map (fun (id, s) -> Option.map (fun op -> (id, s, op)) (s.fuse pair)) rows with
+         | Some (id, s, op) ->
+             code.(!i) <- op;
+             ids.(!i) <- id;
+             Hashtbl.replace counts s.rule
+               (1 + Option.value ~default:0 (Hashtbl.find_opt counts s.rule));
+             fused := true
+         | None -> ());
+      i := !i + widths.(ids.(!i))
+    done;
+    !fused
+  in
+  ignore (pass (rows false));
+  let chain = rows true in
+  if chain <> [] then while pass chain do () done;
   List.filter_map
-    (fun rule ->
-      match Hashtbl.find_opt counts rule with
-      | Some c -> Some (rule, c)
-      | None -> None)
-    Fuse.rule_names
+    (fun rule -> Option.map (fun c -> (rule, c)) (Hashtbl.find_opt counts rule))
+    rule_names
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -1320,7 +715,7 @@ let fslot_count () =
 
 let pack_reg (r, ty) = (r lsl 1) lor (match ty with F64 -> 1 | _ -> 0)
 
-let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
+let decode ?(fuse = Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
   let nregs = Cfg.num_regs f in
   (* the canonical machine re-extends I32 destinations ([Interp]'s
      [set_i]); out-of-range destinations keep [ext = false] so the
@@ -1332,39 +727,39 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
     | Instr.Const { dst; ty; v } -> (
         match ty with
         | F64 -> PConstF { dst; v = Int64.float_of_bits v }
-        | _ -> PConstI { dst; v = (if ext dst then Eval.sext32 v else v) })
+        | _ -> PConstI { cdst = dst; cv = (if ext dst then sext32 v else v) })
     | Instr.FConst { dst; v } -> PConstF { dst; v }
     | Instr.Mov { dst; src; ty } -> (
         match ty with
         | F64 -> PMovF { dst; src }
-        | _ -> PMovI { dst; src; ext = ext dst })
+        | _ -> PMovI { mdst = dst; msrc = src; mext = ext dst })
     | Instr.Unop { dst; op; src; w = _ } -> (
         match op with
         | Neg -> PNegI { dst; src; ext = ext dst }
         | Not -> PNotI { dst; src; ext = ext dst })
     | Instr.Binop { dst; op; l; r; w } -> (
-        let e = ext dst and w64 = w = W64 in
+        let b k = { k; kw = w = W64; dst; l; r; ext = ext dst } in
         match op with
-        | Add -> PAdd { dst; l; r; ext = e }
-        | Sub -> PSub { dst; l; r; ext = e }
-        | Mul -> PMul { dst; l; r; ext = e }
-        | And -> PAnd { dst; l; r; ext = e }
-        | Or -> POr { dst; l; r; ext = e }
-        | Xor -> PXor { dst; l; r; ext = e }
-        | Shl -> PShl { dst; l; r; w64; ext = e }
-        | AShr -> PAShr { dst; l; r; w64; ext = e }
-        | LShr -> PLShr { dst; l; r; w64; ext = e }
-        | Div -> PDiv { dst; l; r; w64; ext = e }
-        | Rem -> PRem { dst; l; r; w64; ext = e })
+        | Add -> PAdd (b 0)
+        | Sub -> PSub (b 1)
+        | Mul -> PMul (b 2)
+        | And -> PAnd (b 3)
+        | Or -> POr (b 4)
+        | Xor -> PXor (b 5)
+        | Shl -> PShl (b 6)
+        | AShr -> PAShr (b 7)
+        | LShr -> PLShr (b 8)
+        | Div -> PDiv (b 9)
+        | Rem -> PRem (b 10))
     | Instr.Cmp { dst; cond; l; r; w } ->
         (* 0/1 results are their own sign extension: no [ext] needed *)
         PCmp { dst; cond; w64 = w = W64; l; r }
     | Instr.Sext { r; from } -> (
         match from with
-        | W32 -> PSext32 { r }
-        | W8 -> PSextSub { r; sh = 56 }
-        | W16 -> PSextSub { r; sh = 48 }
-        | W64 -> PSextSub { r; sh = 0 })
+        | W32 -> PSext32 r
+        | W8 -> PSextSub { xr = r; sh = 56 }
+        | W16 -> PSextSub { xr = r; sh = 48 }
+        | W64 -> PSextSub { xr = r; sh = 0 })
     | Instr.Zext { r; from } ->
         PZext
           {
@@ -1404,13 +799,13 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
         let slot = gslot sym in
         match ty with
         | F64 -> PGLoadF { dst; slot }
-        | I32 -> PGLoadI32 { dst; slot; sign = lext = LSign; ext = ext dst }
+        | I32 -> PGLoadI32 { gdst = dst; gslot = slot; gsign = lext = LSign; gext = ext dst }
         | _ -> PGLoadI { dst; slot; ext = ext dst })
     | Instr.GStore { sym; src; ty } -> (
         let slot = gslot sym in
         match ty with
         | F64 -> PGStoreF { slot; src }
-        | I32 -> PGStoreI32 { slot; src }
+        | I32 -> PGStoreI32 { gsl = slot; gsrc = src }
         | _ -> PGStoreI { slot; src })
     | Instr.Call { dst; fn; args; ret } ->
         if List.mem fn builtin_names then begin
@@ -1491,29 +886,15 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
     | Instr.Ret (Some (r, ty)) ->
         emit (match ty with F64 -> PRetF { r } | _ -> PRetI { r }) tc
   done;
+  let ids = Array.map plain_id code in
   let fstats =
-    if fuse = Fuse.Off then []
+    if fuse = Off then []
     else begin
       let is_start = Array.make (max !total 1) false in
       for bid = 0 to nb - 1 do
         is_start.(block_start.(bid)) <- true
       done;
-      (* per-slot live-after sets, aligned with the flat layout: body
-         slots from the block's per-instruction liveness (program
-         order), the terminator slot from the block's live-out — the
-         fuser's dead-intermediate-write elision reads these *)
-      let live = Sxe_analysis.Liveness.compute f in
-      let la = Array.make (max !total 1) (Bitset.create 0) in
-      for bid = 0 to nb - 1 do
-        let s = ref block_start.(bid) in
-        List.iter
-          (fun (_, set) ->
-            la.(!s) <- set;
-            incr s)
-          (Sxe_analysis.Liveness.live_after_each live bid);
-        la.(!s) <- Sxe_analysis.Liveness.live_out live bid
-      done;
-      fuse_code ~fuse ~is_start ~la code costs
+      fuse_code ~fuse ~is_start code ids
     end
   in
   {
@@ -1522,6 +903,7 @@ let decode ?(fuse = Fuse.Off) ~(canonical : bool) (f : Cfg.func) : pfunc =
     params = Array.of_list (List.map pack_reg f.Cfg.params);
     code;
     costs;
+    ids;
     fstats;
     src = f;
   }
@@ -1542,7 +924,7 @@ let disasm (p : pfunc) : string =
   let b = Buffer.create 256 in
   let shadow = ref 0 in
   Array.iteri
-    (fun k op ->
+    (fun k id ->
       let mark =
         match Hashtbl.find_opt starts k with
         | Some bid -> Printf.sprintf "B%d:" bid
@@ -1553,12 +935,11 @@ let disasm (p : pfunc) : string =
           decr shadow;
           ".")
         else (
-          shadow := group_width op - 1;
+          shadow := widths.(id) - 1;
           " ")
       in
-      Buffer.add_string b
-        (Printf.sprintf "%4d %-5s %s %s\n" k mark shad (op_name (op_id op))))
-    p.code;
+      Buffer.add_string b (Printf.sprintf "%4d %-5s %s %s\n" k mark shad (op_name id)))
+    p.ids;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -1578,7 +959,7 @@ type entry = {
 
 type Cfg.vm_cache += Cached of entry
 
-let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
+let get_decoded ?(fuse = Off) ~canonical (f : Cfg.func) : pfunc =
   let e =
     match f.Cfg.vm_cache with
     | Some (Cached e) ->
@@ -1593,7 +974,7 @@ let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
         f.Cfg.vm_cache <- Some (Cached e);
         e
   in
-  let key = (canonical, Fuse.key fuse) in
+  let key = (canonical, selection_key fuse) in
   match List.assoc_opt key e.images with
   | Some p -> p
   | None ->
@@ -1608,12 +989,12 @@ let get_decoded ?(fuse = Fuse.Off) ~canonical (f : Cfg.func) : pfunc =
 type state = {
   prog : Prog.t;
   canonical : bool;
-  fuse : Fuse.selection;
+  fuse : selection;
   mutable depth : int;
   heap : cell option Vec.t;
   mutable gvi : int64 array;  (** dense global stores, indexed by [gslot] *)
   mutable gvf : float array;
-  fpool_i : int64 array array;
+  fpool_i : regs array;
       (** per-depth register-frame pool: calls at the same depth never
           overlap, so each depth reuses one frame (re-zeroed on entry)
           instead of allocating per call *)
@@ -1724,36 +1105,53 @@ let out st s =
   Buffer.add_string st.buf s;
   Buffer.add_char st.buf '\n'
 
-(* The effects shared by the plain opcodes and the fused handlers: an
-   array load into its destination register, an array store, and the
-   control transfers. A transfer records its profile edge and returns
-   the target's flat offset; a target outside the function (offset -1)
-   then fails fetching the missing block, as in the structural
-   engine. *)
+(* The steps: one per opcode that a superinstruction is composed from,
+   run by its plain handler and by every fused handler that contains it,
+   so the two cannot drift apart. A transfer records its profile edge
+   and returns the target's flat offset; a target outside the function
+   (offset -1) then fails fetching the missing block, as in the
+   structural engine. *)
+let[@inline] set_i ri dst ext v = rset ri dst (if ext then sext32 v else v)
+let[@inline] const_step ri (c : kon) = rset ri c.cdst c.cv
+let[@inline] mov_step ri (m : mov) = set_i ri m.mdst m.mext (rget ri m.msrc)
+
+(* [k] is a literal in the plain handlers, which folds the kernel's
+   dispatch away; the fused handlers pass [b.k] *)
+let[@inline] bin_k st ri k (b : bin) =
+  set_i ri b.dst b.ext (bin_eval st.canonical k b.kw (rget ri b.l) (rget ri b.r))
+
+let[@inline] bin_step st ri (b : bin) = bin_k st ri b.k b
+
+let[@inline] sext_step st ri r =
+  st.sext32 <- st.sext32 + 1;
+  rset ri r (sext32 (rget ri r))
+
+let[@inline] sextsub_step st ri (x : ssub) =
+  st.sext_sub <- st.sext_sub + 1;
+  rset ri x.xr (sext_from x.sh (rget ri x.xr))
+
+let[@inline] gload_step st ri (g : gld) =
+  let gv = st.gvi in
+  let cell = if g.gslot < Array.length gv then gv.(g.gslot) else 0L in
+  set_i ri g.gdst g.gext (if g.gsign then sext32 cell else zext32 cell)
+
+let[@inline] gstore_step st ri (s : gst) = gstore_i st s.gsl (zext32 (rget ri s.gsrc))
+
 let[@inline] arr_load st ri rf (ld : ald) =
-  let cell = arr_cell st ri.(ld.larr) in
-  let k = checked_index st ri.(ld.lidx) (cell_len cell) in
+  let cell = arr_cell st (rget ri ld.larr) in
+  let k = checked_index st (rget ri ld.lidx) (cell_len cell) in
   match cell with
-  | IArr { data; _ } ->
-      let v = elem_load ld.lelem ld.llext data.(k) in
-      ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+  | IArr { data; _ } -> set_i ri ld.ldst ld.lsx (elem_load ld.lelem ld.llext data.(k))
   | FArr d -> rf.(ld.ldst) <- d.(k)
-  | RArr d ->
-      let v = Int64.of_int d.(k) in
-      ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
+  | RArr d -> set_i ri ld.ldst ld.lsx (Int64.of_int d.(k))
 
 let[@inline] arr_store st ri rf (s : ast) =
-  let cell = arr_cell st ri.(s.sarr) in
-  let k = checked_index st ri.(s.sidx) (cell_len cell) in
+  let cell = arr_cell st (rget ri s.sarr) in
+  let k = checked_index st (rget ri s.sidx) (cell_len cell) in
   match cell with
-  | IArr { data; _ } -> data.(k) <- elem_store s.selem ri.(s.ssrc)
+  | IArr { data; _ } -> data.(k) <- elem_store s.selem (rget ri s.ssrc)
   | FArr d -> d.(k) <- rf.(s.ssrc)
-  | RArr d -> d.(k) <- Int64.to_int ri.(s.ssrc)
-
-(* [lv]/[rv] are the branch operands' full register values *)
-let[@inline] br_holds (b : br) lv rv =
-  if b.bw64 then holds b.bcond (Int64.compare lv rv)
-  else iholds b.bcond (sx32 lv) (sx32 rv)
+  | RArr d -> d.(k) <- Int64.to_int (rget ri s.ssrc)
 
 let[@inline] jump_to st p (j : jm) =
   (match st.profile with
@@ -1765,7 +1163,12 @@ let[@inline] jump_to st p (j : jm) =
   end;
   j.joff
 
-let[@inline] branch_to st p (b : br) taken =
+let[@inline] branch st p ri (b : br) =
+  let lv = rget ri b.bl and rv = rget ri b.brx in
+  let taken =
+    if b.bw64 then holds b.bcond (Int64.compare lv rv)
+    else iholds b.bcond (sx32 lv) (sx32 rv)
+  in
   let t_bid = if taken then b.bsob else b.bnob in
   (match st.profile with
   | Some prof -> Profile.record prof p.fname ~src:b.bsrc ~dst:t_bid
@@ -1777,8 +1180,19 @@ let[@inline] branch_to st p (b : br) taken =
   end;
   t_off
 
-let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : unit =
-  let code = p.code and costs = p.costs in
+(* The accounting step before every instruction, plain or constituent:
+   tick, fuel trap, then the slot's static charge, in the structural
+   engine's order. A fused handler runs it before each constituent after
+   the first (the loop head has done the first), with the constituent's
+   own slot, so traps and counters are exactly those of the unfused
+   dispatch sequence. *)
+let[@inline] acct st fuel costs slot =
+  st.executed <- st.executed + 1;
+  if st.executed > fuel then raise (Trap "fuel-exhausted");
+  st.cycles <- st.cycles + Array.unsafe_get costs slot
+
+let rec exec (st : state) (p : pfunc) (ri : regs) (rf : float array) : unit =
+  let code = p.code and costs = p.costs and ids = p.ids in
   if Array.length code = 0 then
     (* a function with no blocks: the structural engine fails fetching
        block 0; reproduce its exact exception *)
@@ -1801,7 +1215,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     let cpc = !pc in
     let op = Array.unsafe_get code cpc in
     if pairs_nops <> 0 then begin
-      let id = op_id op in
+      let id = Array.unsafe_get ids cpc in
       ops.(id) <- ops.(id) + 1;
       if !prev >= 0 then begin
         let k = (!prev * pairs_nops) + id in
@@ -1809,120 +1223,54 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
       end;
       (* control transfers break straight-line adjacency: a (Br, target)
          pair is not a fusion candidate *)
-      prev :=
-        (match op with
-        | PJmp _ | PBr _ | PRet0 | PRetI _ | PRetF _ | PConstBr _ | PLoadBr _
-        | PMovJmp _ | PBinMovJmp _ | PStoreMovJmp _ | PMovBr _ | PBinBinBr _
-        | PBinBinMovBr _ | PLoadSxLoadBr _ | PSxLoadBinLoadBr _ | PSwapJmp _
-        | PStoreJmp _ | PConstJmp _ | PBinSextMovJmp _ | PSextMovJmp _ ->
-            -1
-        | _ -> id)
+      prev := if ends_chain.(id) then -1 else id
     end;
-    (* tick -> fuel trap -> charge, in the structural engine's order *)
-    st.executed <- st.executed + 1;
-    if st.executed > fuel then raise (Trap "fuel-exhausted");
-    st.cycles <- st.cycles + Array.unsafe_get costs cpc;
-    incr pc;
+    acct st fuel costs cpc;
+    pc := cpc + 1;
     match op with
     | PNop -> ()
-    | PConstI { dst; v } -> ri.(dst) <- v
+    | PConstI c -> const_step ri c
     | PConstF { dst; v } -> rf.(dst) <- v
-    | PMovI { dst; src; ext } ->
-        let v = ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+    | PMovI m -> mov_step ri m
     | PMovF { dst; src } -> rf.(dst) <- rf.(src)
-    | PNegI { dst; src; ext } ->
-        let v = Int64.neg ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PNotI { dst; src; ext } ->
-        let v = Int64.lognot ri.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PAdd { dst; l; r; ext } ->
-        let v = Int64.add ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PSub { dst; l; r; ext } ->
-        let v = Int64.sub ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PMul { dst; l; r; ext } ->
-        let v = Int64.mul ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PAnd { dst; l; r; ext } ->
-        let v = Int64.logand ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | POr { dst; l; r; ext } ->
-        let v = Int64.logor ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PXor { dst; l; r; ext } ->
-        let v = Int64.logxor ri.(l) ri.(r) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PShl { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
-        let v = Int64.shift_left ri.(l) amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PAShr { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
-        let v = Int64.shift_right ri.(l) amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PLShr { dst; l; r; w64; ext } ->
-        let amt = Int64.to_int (Int64.logand ri.(r) (if w64 then 63L else 31L)) in
-        let lv =
-          (* canonical 32-bit machine zero-extends internally; the
-             faithful machine shifts the full register and depends on
-             the explicit [Zext] guard ({!Eval.binop_faithful}) *)
-          if w64 || not st.canonical then ri.(l) else Eval.zext32 ri.(l)
-        in
-        let v = Int64.shift_right_logical lv amt in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PDiv { dst; l; r; w64; ext } ->
-        let rv = ri.(r) in
-        let zero =
-          if w64 then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L
-        in
-        if zero then raise (Trap "division-by-zero");
-        let v =
-          if Int64.equal rv (-1L) then Int64.neg ri.(l) else Int64.div ri.(l) rv
-        in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
-    | PRem { dst; l; r; w64; ext } ->
-        let rv = ri.(r) in
-        let zero =
-          if w64 then Int64.equal rv 0L else Int64.equal (Eval.low32 rv) 0L
-        in
-        if zero then raise (Trap "division-by-zero");
-        let v = if Int64.equal rv (-1L) then 0L else Int64.rem ri.(l) rv in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+    | PNegI { dst; src; ext } -> set_i ri dst ext (Int64.neg (rget ri src))
+    | PNotI { dst; src; ext } -> set_i ri dst ext (Int64.lognot (rget ri src))
+    | PAdd b -> bin_k st ri 0 b
+    | PSub b -> bin_k st ri 1 b
+    | PMul b -> bin_k st ri 2 b
+    | PAnd b -> bin_k st ri 3 b
+    | POr b -> bin_k st ri 4 b
+    | PXor b -> bin_k st ri 5 b
+    | PShl b -> bin_k st ri 6 b
+    | PAShr b -> bin_k st ri 7 b
+    | PLShr b -> bin_k st ri 8 b
+    | PDiv b -> bin_k st ri 9 b
+    | PRem b -> bin_k st ri 10 b
     | PCmp { dst; cond; w64; l; r } ->
         let t =
-          if w64 then holds cond (Int64.compare ri.(l) ri.(r))
-          else iholds cond (sx32 ri.(l)) (sx32 ri.(r))
+          if w64 then holds cond (Int64.compare (rget ri l) (rget ri r))
+          else iholds cond (sx32 (rget ri l)) (sx32 (rget ri r))
         in
-        ri.(dst) <- (if t then 1L else 0L)
-    | PSext32 { r } ->
-        st.sext32 <- st.sext32 + 1;
-        ri.(r) <- Eval.sext32 ri.(r)
-    | PSextSub { r; sh } ->
-        st.sext_sub <- st.sext_sub + 1;
-        ri.(r) <- Int64.shift_right (Int64.shift_left ri.(r) sh) sh
+        rset ri dst (if t then 1L else 0L)
+    | PSext32 r -> sext_step st ri r
+    | PSextSub x -> sextsub_step st ri x
     | PZext { r; mask; ext } ->
         if Int64.equal mask 0xFFFF_FFFFL then st.zext32 <- st.zext32 + 1
         else st.zext_sub <- st.zext_sub + 1;
-        let v = Int64.logand ri.(r) mask in
-        ri.(r) <- (if ext then Eval.sext32 v else v)
+        set_i ri r ext (Int64.logand (rget ri r) mask)
     | PFAdd { dst; l; r } -> rf.(dst) <- rf.(l) +. rf.(r)
     | PFSub { dst; l; r } -> rf.(dst) <- rf.(l) -. rf.(r)
     | PFMul { dst; l; r } -> rf.(dst) <- rf.(l) *. rf.(r)
     | PFDiv { dst; l; r } -> rf.(dst) <- rf.(l) /. rf.(r)
     | PFNeg { dst; src } -> rf.(dst) <- -.rf.(src)
     | PFCmp { dst; cond; l; r } ->
-        ri.(dst) <- (if Eval.fcmp cond rf.(l) rf.(r) then 1L else 0L)
-    | PItoF { dst; src } -> rf.(dst) <- Int64.to_float ri.(src)
-    | PD2I { dst; src } -> ri.(dst) <- Eval.d2i rf.(src)
-    | PD2L { dst; src; ext } ->
-        let v = Eval.d2l rf.(src) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        rset ri dst (if Eval.fcmp cond rf.(l) rf.(r) then 1L else 0L)
+    | PItoF { dst; src } -> rf.(dst) <- Int64.to_float (rget ri src)
+    | PD2I { dst; src } -> rset ri dst (Eval.d2i rf.(src))
+    | PD2L { dst; src; ext } -> set_i ri dst ext (Eval.d2l rf.(src))
     | PNewArr { dst; elem; len; ext } ->
-        let full = ri.(len) in
-        let len32 = Eval.sext32 full in
+        let full = rget ri len in
+        let len32 = sext32 full in
         (* dynamic charge (the static cost slot is 0), before the traps,
            as the structural engine charges before executing *)
         st.cycles <- st.cycles + Cost.alloc_cost ~alloc_len:len32;
@@ -1938,35 +1286,29 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
           | e -> IArr { elem = e; data = Array.make n 0L }
         in
         let h = Vec.push st.heap (Some cell) in
-        let v = Int64.of_int (h + 1) in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        set_i ri dst ext (Int64.of_int (h + 1))
     | PArrLoad ld -> arr_load st ri rf ld
     | PArrStore s -> arr_store st ri rf s
     | PArrLen { dst; arr } ->
-        ri.(dst) <- Int64.of_int (cell_len (arr_cell st ri.(arr)))
+        rset ri dst (Int64.of_int (cell_len (arr_cell st (rget ri arr))))
     | PGLoadF { dst; slot } ->
         let g = st.gvf in
         rf.(dst) <- (if slot < Array.length g then g.(slot) else 0.0)
-    | PGLoadI32 { dst; slot; sign; ext } ->
-        let g = st.gvi in
-        let cell = if slot < Array.length g then g.(slot) else 0L in
-        let v = if sign then Eval.sext32 cell else Eval.zext32 cell in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+    | PGLoadI32 g -> gload_step st ri g
     | PGLoadI { dst; slot; ext } ->
         let g = st.gvi in
-        let v = if slot < Array.length g then g.(slot) else 0L in
-        ri.(dst) <- (if ext then Eval.sext32 v else v)
+        set_i ri dst ext (if slot < Array.length g then g.(slot) else 0L)
     | PGStoreF { slot; src } -> gstore_f st slot rf.(src)
-    | PGStoreI32 { slot; src } -> gstore_i st slot (Eval.zext32 ri.(src))
-    | PGStoreI { slot; src } -> gstore_i st slot ri.(src)
+    | PGStoreI32 s -> gstore_step st ri s
+    | PGStoreI { slot; src } -> gstore_i st slot (rget ri src)
     | PPrintI { r; post_trap } ->
-        out st (Int64.to_string ri.(r));
+        out st (Int64.to_string (rget ri r));
         if post_trap then raise (Trap "missing-return")
     | PPrintF { r; post_trap } ->
         out st (Printf.sprintf "%.6g" rf.(r));
         if post_trap then raise (Trap "missing-return")
     | PCheckI { r; post_trap } ->
-        st.checksum <- checksum_mix st.checksum ri.(r);
+        st.checksum <- checksum_mix st.checksum (rget ri r);
         if post_trap then raise (Trap "missing-return")
     | PCheckF { r; post_trap } ->
         st.checksum <- checksum_mix st.checksum (Int64.bits_of_float rf.(r));
@@ -1978,990 +1320,229 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
         | 0 -> ()
         | 1 ->
             if st.ret_kind <> 1 then raise (Trap "bad-return");
-            ri.(dst) <- (if ext then Eval.sext32 st.ret_i else st.ret_i)
+            set_i ri dst ext st.ret_i
         | 2 ->
             if st.ret_kind <> 2 then raise (Trap "bad-return");
             rf.(dst) <- st.ret_f
         | _ -> raise (Trap "bad-return"))
     | PJmp j -> pc := jump_to st p j
-    | PBr b -> pc := branch_to st p b (br_holds b ri.(b.bl) ri.(b.brx))
+    | PBr b -> pc := branch st p ri b
     | PRet0 ->
         st.ret_kind <- 0;
         running := false
     | PRetI { r } ->
         st.ret_kind <- 1;
-        st.ret_i <- ri.(r);
+        st.ret_i <- rget ri r;
         running := false
     | PRetF { r } ->
         st.ret_kind <- 2;
         st.ret_f <- rf.(r);
         running := false
-    (* Fused superinstructions. The loop head above already ticked,
-       fuel-checked and charged the first constituent (the head slot
-       keeps its original cost); each handler performs the head's
-       effect, then the same three accounting steps (written out — this
-       is the engine's hottest path and must not pay a closure call)
-       before each further constituent's effect — the trap points,
-       counter values and profile edges are bit-identical to the unfused
-       dispatch sequence. Intermediate values are forwarded locally:
-       when a branch/store operand register equals the register a
-       constituent just defined, the handler substitutes the local value
-       instead of reading it back, and the [w*] flags elide the register
-       write entirely when liveness proved it dead (see [fuse_code]).
-       Straight-line groups step [pc] past the shadowed constituent
-       slots; groups ending in a control transfer set it absolutely. *)
-    | PConstBr { d1; v; wd1; c2; b } ->
-        if wd1 then ri.(d1) <- v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let lv = if b.bl = d1 then v else ri.(b.bl) in
-        let rv = if b.brx = d1 then v else ri.(b.brx) in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PLoadBr { ld; wdst; c2; b } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-        (* [iv]: the int-register image of the load destination after
-           the load (a float load leaves it untouched) — the branch
-           reads it locally, without the register round-trip *)
-        let iv =
-          match cell with
-          | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(k) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if wdst then ri.(ld.ldst) <- v;
-              v
-          | FArr d ->
-              if wdst then rf.(ld.ldst) <- d.(k);
-              ri.(ld.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if wdst then ri.(ld.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let lv = if b.bl = ld.ldst then iv else ri.(b.bl) in
-        let rv = if b.brx = ld.ldst then iv else ri.(b.brx) in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PMovJmp { mdst; msrc; mext; mw; mc2; mj } ->
-        if mw then begin
-          let v = ri.(msrc) in
-          ri.(mdst) <- (if mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + mc2;
-        pc := jump_to st p mj
-    | PStoreJmp { s; c2; j } ->
+    (* Superinstructions: each constituent's step, in program order, with
+       the accounting step of the constituent's own slot ([cpc + 1], ...)
+       in between; values pass through the register file exactly as in
+       the unfused sequence. A straight-line group steps [pc] past its
+       shadowed slots; a group ending in a transfer sets it. *)
+    | PConstBr (c, b) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
+        pc := branch st p ri b
+    | PLoadBr (l, b) ->
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 1);
+        pc := branch st p ri b
+    | PMovJmp (m, j) ->
+        mov_step ri m;
+        acct st fuel costs (cpc + 1);
+        pc := jump_to st p j
+    | PStoreJmp (s, j) ->
         arr_store st ri rf s;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
+        acct st fuel costs (cpc + 1);
         pc := jump_to st p j
-    | PConstJmp { dst; v; wd1; c2; j } ->
-        if wd1 then ri.(dst) <- v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
+    | PConstJmp (c, j) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
         pc := jump_to st p j
-    | PSextLoad { sr; wsr; c2; ld } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell = arr_cell st ri.(ld.larr) in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        (* the index was just re-extended: full = low32, so the
-           wild-access check can never fire — index directly *)
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(ld.ldst) <- d.(xi)
-        | RArr d ->
-            let v = Int64.of_int d.(xi) in
-            ri.(ld.ldst) <- (if ld.lsx then Eval.sext32 v else v));
-        incr pc
-    | PLoadSext { ld; c2; xr; sh } ->
-        let cell = arr_cell st ri.(ld.larr) in
-        let k = checked_index st ri.(ld.lidx) (cell_len cell) in
-        (match cell with
-        | IArr { data; _ } ->
-            let v = elem_load ld.lelem ld.llext data.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* [xr = ld.ldst]: the load's write is overwritten by the
-               re-extension before any observation point — write once *)
-            if sh < 0 then begin
-              st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Int64.of_int (sx32 v)
-            end
-            else begin
-              st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
-            end
-        | FArr d ->
-            rf.(ld.ldst) <- d.(k);
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            (* float load: the re-extension reads the untouched int
-               register, exactly as the unfused sequence does *)
-            if sh < 0 then begin
-              st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Eval.sext32 ri.(xr)
-            end
-            else begin
-              st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left ri.(xr) sh) sh
-            end
-        | RArr d ->
-            let v = Int64.of_int d.(k) in
-            let v = if ld.lsx then Eval.sext32 v else v in
-            st.executed <- st.executed + 1;
-            if st.executed > fuel then raise (Trap "fuel-exhausted");
-            st.cycles <- st.cycles + c2;
-            if sh < 0 then begin
-              st.sext32 <- st.sext32 + 1;
-              ri.(xr) <- Int64.of_int (sx32 v)
-            end
-            else begin
-              st.sext_sub <- st.sext_sub + 1;
-              ri.(xr) <- Int64.shift_right (Int64.shift_left v sh) sh
-            end);
-        incr pc
-    | PConstBin { d1; v; wd1; k; kw; dst; l; r; ext; c2 } ->
-        if wd1 then ri.(d1) <- v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let lv = if l = d1 then v else ri.(l) in
-        let rv = if r = d1 then v else ri.(r) in
-        let v2 =
-          bin_eval st.canonical k kw lv rv
-        in
-        ri.(dst) <- (if ext then Eval.sext32 v2 else v2);
-        incr pc
-    (* Adjacent-array-access pairs: no data-dependency conditions, so
-       both constituents execute verbatim — only the dispatch between
-       them is saved. *)
-    | PLoadLoad { l1; c2; l2 } ->
+    | PMovBr (m, b) ->
+        mov_step ri m;
+        acct st fuel costs (cpc + 1);
+        pc := branch st p ri b
+    | PSextLoad (x, l) ->
+        sext_step st ri x;
+        acct st fuel costs (cpc + 1);
+        arr_load st ri rf l;
+        pc := cpc + 2
+    | PLoadSext (l, x) ->
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 1);
+        sext_step st ri x;
+        pc := cpc + 2
+    | PLoadSextSub (l, x) ->
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 1);
+        sextsub_step st ri x;
+        pc := cpc + 2
+    | PConstBin (c, b) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b;
+        pc := cpc + 2
+    | PLoadLoad (l1, l2) ->
         arr_load st ri rf l1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
+        acct st fuel costs (cpc + 1);
         arr_load st ri rf l2;
-        incr pc
-    | PLoadStore { ld; c2; s } ->
-        arr_load st ri rf ld;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
+        pc := cpc + 2
+    | PLoadStore (l, s) ->
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 1);
         arr_store st ri rf s;
-        incr pc
-    | PStoreStore { s1; c2; s2 } ->
+        pc := cpc + 2
+    | PStoreStore (s1, s2) ->
         arr_store st ri rf s1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
+        acct st fuel costs (cpc + 1);
         arr_store st ri rf s2;
-        incr pc
-    (* Chained superinstructions. Each embedded payload executes exactly
-       as its own handler would (same writes, same elisions — a write
-       skipped by a [w*] flag is dead downstream, so the tail's register
-       reads are unaffected), with the second group's head accounting
-       step in between. *)
-    | PBinBin { a; hb; b2; s2l; s2r; xw1; xw2 } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv =
-          bin_eval st.canonical b2.k b2.kw lv rv
-        in
-        if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
-        pc := !pc + 3
-    | PBinSext { a; cs; xw } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        if xw then ri.(a.dst) <- Int64.of_int (sx32 v1);
-        pc := !pc + 2
-    | PBinSextMovJmp { a; cs; xw; hm; smv; m } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 v1 in
-        if xw then ri.(a.dst) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v =
-            match smv with 1 -> Int64.of_int xi | 3 -> a.v | _ -> ri.(m.msrc)
-          in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        pc := jump_to st p m.mj
-    | PSextMovJmp { xr; xw; hm; smv; m } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(xr) in
-        if xw then ri.(xr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = if smv = 1 then Int64.of_int xi else ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        pc := jump_to st p m.mj
-    | PGStoreGLoad { sslot; src; c2; ldst; lslot; lsign; lext; wl } ->
-        gstore_i st sslot (Eval.zext32 ri.(src));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let g = st.gvi in
-        let cell = if lslot < Array.length g then g.(lslot) else 0L in
-        let v = if lsign then Eval.sext32 cell else Eval.zext32 cell in
-        if wl then ri.(ldst) <- (if lext then Eval.sext32 v else v);
-        incr pc
-    | PGLoadBinBin
-        {
-          gdst;
-          gslot;
-          gsign;
-          gext;
-          wg;
-          hb;
-          sal;
-          sar;
-          bb = { a; hb = hb2; b2; s2l; s2r; xw1; xw2 };
-        } ->
-        let g = st.gvi in
-        let cell = if gslot < Array.length g then g.(gslot) else 0L in
-        let v = if gsign then Eval.sext32 cell else Eval.zext32 cell in
-        let gv = if gext then Eval.sext32 v else v in
-        if wg then ri.(gdst) <- gv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv =
-          if a.l = a.d1 then a.v else if sal = 6 then gv else ri.(a.l)
-        in
-        let rv =
-          if a.r = a.d1 then a.v else if sar = 6 then gv else ri.(a.r)
-        in
-        let av = bin_eval st.canonical a.k a.kw lv rv in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb2;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with
-          | 1 -> v1
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 6 -> gv
-          | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with
-          | 1 -> v1
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 6 -> gv
-          | _ -> ri.(b2.r)
-        in
-        let bv = bin_eval st.canonical b2.k b2.kw lv rv in
-        if xw2 then ri.(b2.dst) <- (if b2.ext then Eval.sext32 bv else bv);
-        pc := !pc + 4
-    | PBinMovJmp { a; xw; hm; smv; m } ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = match smv with 1 -> v1 | 3 -> a.v | _ -> ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        pc := jump_to st p m.mj
-    | PStoreMovJmp { s; hm; m } ->
+        pc := cpc + 2
+    | PGStoreGLoad (s, g) ->
+        gstore_step st ri s;
+        acct st fuel costs (cpc + 1);
+        gload_step st ri g;
+        pc := cpc + 2
+    | PBinBin (c1, b1, c2, b2) ->
+        const_step ri c1;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b1;
+        acct st fuel costs (cpc + 2);
+        const_step ri c2;
+        acct st fuel costs (cpc + 3);
+        bin_step st ri b2;
+        pc := cpc + 4
+    | PBinMovJmp (c, b, m, j) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b;
+        acct st fuel costs (cpc + 2);
+        mov_step ri m;
+        acct st fuel costs (cpc + 3);
+        pc := jump_to st p j
+    | PStoreMovJmp (s, m, j) ->
         arr_store st ri rf s;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        pc := jump_to st p m.mj
-    (* Block-shaped superinstructions. Constituent effects and
-       accounting steps run in program order exactly as above; the
-       difference is that every in-group register read of an in-group
-       value goes through a fuse-time source code into a local, so the
-       [w*] write flags — computed against liveness at the end of the
-       group — can skip most intermediate register-file writes. A
-       float-typed cell at run time leaves the loaded local holding the
-       stale integer register, exactly what the structural engine's
-       int-register reads would see. *)
-    | PMovBr { vdst; vsrc; vext; vw; vc2; vb = b } ->
-        let mv =
-          let v = ri.(vsrc) in
-          if vext then Eval.sext32 v else v
-        in
-        if vw then ri.(vdst) <- mv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + vc2;
-        let lv = if b.bl = vdst then mv else ri.(b.bl) in
-        let rv = if b.brx = vdst then mv else ri.(b.brx) in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PBinBinBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; cb; sbl; sbr; b }
-      ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv =
-          bin_eval st.canonical b2.k b2.kw lv rv
-        in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv =
-          match sbl with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | _ -> ri.(b.brx)
-        in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PBinBinMovBr { bb = { a; hb; b2; s2l; s2r; xw1; xw2 }; hm; smv; m; sbl; sbr }
-      ->
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let lv = if a.l = a.d1 then a.v else ri.(a.l) in
-        let rv = if a.r = a.d1 then a.v else ri.(a.r) in
-        let av =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v1 = if a.ext then Eval.sext32 av else av in
-        if xw1 then ri.(a.dst) <- v1;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if b2.wd1 then ri.(b2.d1) <- b2.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + b2.c2;
-        let lv =
-          match s2l with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.l)
-        in
-        let rv =
-          match s2r with 1 -> v1 | 3 -> a.v | 4 -> b2.v | _ -> ri.(b2.r)
-        in
-        let bv =
-          bin_eval st.canonical b2.k b2.kw lv rv
-        in
-        let v2 = if b2.ext then Eval.sext32 bv else bv in
-        if xw2 then ri.(b2.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        let mv =
-          let v =
-            match smv with
-            | 1 -> v1
-            | 2 -> v2
-            | 3 -> a.v
-            | 4 -> b2.v
-            | _ -> ri.(m.vsrc)
-          in
-          if m.vext then Eval.sext32 v else v
-        in
-        if m.vw then ri.(m.vdst) <- mv;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.vc2;
-        let b = m.vb in
-        let lv =
-          match sbl with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 5 -> mv
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> v1
-          | 2 -> v2
-          | 3 -> a.v
-          | 4 -> b2.v
-          | 5 -> mv
-          | _ -> ri.(b.brx)
-        in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PLoadSxLoad { l1; w1; cs; sr; wsr; f1; cl; l2 } ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 (if f1 then u1 else ri.(sr)) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        if xi < 0 || xi >= cell_len cell2 then
-          raise (Trap "array-index-out-of-bounds");
-        (match cell2 with
-        | IArr { data; _ } ->
-            let v = elem_load l2.lelem l2.llext data.(xi) in
-            ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v)
-        | FArr d -> rf.(l2.ldst) <- d.(xi)
-        | RArr d ->
-            let v = Int64.of_int d.(xi) in
-            ri.(l2.ldst) <- (if l2.lsx then Eval.sext32 v else v));
-        pc := !pc + 2
-    | PLoadSxLoadBr { l1; w1; cs; sr; wsr; f1; cl; l2; w2; cb; sbl; sbr; b }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cs;
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 (if f1 then u1 else ri.(sr)) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        if xi < 0 || xi >= cell_len cell2 then
-          raise (Trap "array-index-out-of-bounds");
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(xi) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(xi);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let xv = Int64.of_int xi in
-        let lv =
-          match sbl with 1 -> u1 | 2 -> xv | 3 -> u2 | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with 1 -> u1 | 2 -> xv | 3 -> u2 | _ -> ri.(b.brx)
-        in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PSxLoadBin { sr; wsr; cl; ld; w1; hb; a; s2l; s2r; xw } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell = arr_cell st ri.(ld.larr) in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        let u1 =
-          match cell with
-          | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(ld.ldst) <- d.(xi);
-              ri.(ld.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let xv = Int64.of_int xi in
-        let lv =
-          match s2l with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.l)
-        in
-        let rv =
-          match s2r with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.r)
-        in
-        let bv =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        if xw then ri.(a.dst) <- (if a.ext then Eval.sext32 bv else bv);
-        pc := !pc + 3
-    | PSxLoadBinLoadBr
-        { sr; wsr; cl; ld; w1; hb; a; s2l; s2r; xw; hl; ld2; w2; si; cb;
-          sbl; sbr; b } ->
-        st.sext32 <- st.sext32 + 1;
-        let xi = sx32 ri.(sr) in
-        if wsr then ri.(sr) <- Int64.of_int xi;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cl;
-        let cell = arr_cell st ri.(ld.larr) in
-        if xi < 0 || xi >= cell_len cell then
-          raise (Trap "array-index-out-of-bounds");
-        let u1 =
-          match cell with
-          | IArr { data; _ } ->
-              let v = elem_load ld.lelem ld.llext data.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(ld.ldst) <- d.(xi);
-              ri.(ld.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(xi) in
-              let v = if ld.lsx then Eval.sext32 v else v in
-              if w1 then ri.(ld.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hb;
-        if a.wd1 then ri.(a.d1) <- a.v;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + a.c2;
-        let xv = Int64.of_int xi in
-        let lv =
-          match s2l with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.l)
-        in
-        let rv =
-          match s2r with 1 -> u1 | 2 -> xv | 4 -> a.v | _ -> ri.(a.r)
-        in
-        let bv =
-          bin_eval st.canonical a.k a.kw lv rv
-        in
-        let v2 = if a.ext then Eval.sext32 bv else bv in
-        if xw then ri.(a.dst) <- v2;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hl;
-        let cell2 = arr_cell st ri.(ld2.larr) in
-        let ki =
-          match si with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | _ -> ri.(ld2.lidx)
-        in
-        let k2 = checked_index st ki (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load ld2.lelem ld2.llext data.(k2) in
-              let v = if ld2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(ld2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(ld2.ldst) <- d.(k2);
-              ri.(ld2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if ld2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(ld2.ldst) <- v;
-              v
-        in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + cb;
-        let lv =
-          match sbl with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | 5 -> u2
-          | _ -> ri.(b.bl)
-        in
-        let rv =
-          match sbr with
-          | 1 -> u1
-          | 2 -> xv
-          | 3 -> v2
-          | 4 -> a.v
-          | 5 -> u2
-          | _ -> ri.(b.brx)
-        in
-        pc := branch_to st p b (br_holds b lv rv)
-    | PLoad2Store2 { l1; w1; c2; l2; w2; c3; s1; z1; zr1; c4; s2; z2; zr2 }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        (* [raw*]/[rk*]: the undecoded cell word and whether the cell
-           was an int array — a same-element store of a loaded value
-           reuses the word, skipping [elem_store]'s re-encode; [fv*]/
-           [fk*] are the float-side equivalents for float cells *)
-        let raw1 = match cell1 with IArr { data; _ } -> data.(k1) | _ -> u1 in
-        let rk1 = match cell1 with IArr _ -> true | _ -> false in
-        let fv1 = match cell1 with FArr d -> d.(k1) | _ -> 0.0 in
-        let fk1 = match cell1 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        let k2 = checked_index st ri.(l2.lidx) (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(k2);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        let raw2 = match cell2 with IArr { data; _ } -> data.(k2) | _ -> u2 in
-        let rk2 = match cell2 with IArr _ -> true | _ -> false in
-        let fv2 = match cell2 with FArr d -> d.(k2) | _ -> 0.0 in
-        let fk2 = match cell2 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        (let cells = arr_cell st ri.(s1.sarr) in
-         let j = checked_index st ri.(s1.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr1 && (if z1 = 1 then rk1 else rk2) then
-               data.(j) <- (if z1 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s1.selem
-                   (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z1 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s1.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c4;
-        (let cells = arr_cell st ri.(s2.sarr) in
-         let j = checked_index st ri.(s2.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr2 && (if z2 = 1 then rk1 else rk2) then
-               data.(j) <- (if z2 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s2.selem
-                   (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z2 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s2.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc)));
-        pc := !pc + 3
-    | PSwapJmp
-        { l1; w1; c2; l2; w2; c3; s1; z1; zr1; c4; s2; z2; zr2; hm; smv; m }
-      ->
-        let cell1 = arr_cell st ri.(l1.larr) in
-        let k1 = checked_index st ri.(l1.lidx) (cell_len cell1) in
-        let u1 =
-          match cell1 with
-          | IArr { data; _ } ->
-              let v = elem_load l1.lelem l1.llext data.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-          | FArr d ->
-              if w1 then rf.(l1.ldst) <- d.(k1);
-              ri.(l1.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k1) in
-              let v = if l1.lsx then Eval.sext32 v else v in
-              if w1 then ri.(l1.ldst) <- v;
-              v
-        in
-        let raw1 = match cell1 with IArr { data; _ } -> data.(k1) | _ -> u1 in
-        let rk1 = match cell1 with IArr _ -> true | _ -> false in
-        let fv1 = match cell1 with FArr d -> d.(k1) | _ -> 0.0 in
-        let fk1 = match cell1 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c2;
-        let cell2 = arr_cell st ri.(l2.larr) in
-        let k2 = checked_index st ri.(l2.lidx) (cell_len cell2) in
-        let u2 =
-          match cell2 with
-          | IArr { data; _ } ->
-              let v = elem_load l2.lelem l2.llext data.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-          | FArr d ->
-              if w2 then rf.(l2.ldst) <- d.(k2);
-              ri.(l2.ldst)
-          | RArr d ->
-              let v = Int64.of_int d.(k2) in
-              let v = if l2.lsx then Eval.sext32 v else v in
-              if w2 then ri.(l2.ldst) <- v;
-              v
-        in
-        let raw2 = match cell2 with IArr { data; _ } -> data.(k2) | _ -> u2 in
-        let rk2 = match cell2 with IArr _ -> true | _ -> false in
-        let fv2 = match cell2 with FArr d -> d.(k2) | _ -> 0.0 in
-        let fk2 = match cell2 with FArr _ -> true | _ -> false in
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c3;
-        (let cells = arr_cell st ri.(s1.sarr) in
-         let j = checked_index st ri.(s1.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr1 && (if z1 = 1 then rk1 else rk2) then
-               data.(j) <- (if z1 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s1.selem
-                   (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z1 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s1.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z1 with 1 -> u1 | 2 -> u2 | _ -> ri.(s1.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + c4;
-        (let cells = arr_cell st ri.(s2.sarr) in
-         let j = checked_index st ri.(s2.sidx) (cell_len cells) in
-         match cells with
-         | IArr { data; _ } ->
-             if zr2 && (if z2 = 1 then rk1 else rk2) then
-               data.(j) <- (if z2 = 1 then raw1 else raw2)
-             else
-               data.(j) <-
-                 elem_store s2.selem
-                   (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc))
-         | FArr d ->
-             d.(j) <-
-               (match z2 with
-               | 1 when fk1 -> fv1
-               | 2 when fk2 -> fv2
-               | _ -> rf.(s2.ssrc))
-         | RArr d ->
-             d.(j) <-
-               Int64.to_int
-                 (match z2 with 1 -> u1 | 2 -> u2 | _ -> ri.(s2.ssrc)));
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + hm;
-        if m.mw then begin
-          let v = match smv with 1 -> u1 | 2 -> u2 | _ -> ri.(m.msrc) in
-          ri.(m.mdst) <- (if m.mext then Eval.sext32 v else v)
-        end;
-        st.executed <- st.executed + 1;
-        if st.executed > fuel then raise (Trap "fuel-exhausted");
-        st.cycles <- st.cycles + m.mc2;
-        pc := jump_to st p m.mj
+        acct st fuel costs (cpc + 1);
+        mov_step ri m;
+        acct st fuel costs (cpc + 2);
+        pc := jump_to st p j
+    | PBinBinBr (c1, b1, c2, b2, b) ->
+        const_step ri c1;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b1;
+        acct st fuel costs (cpc + 2);
+        const_step ri c2;
+        acct st fuel costs (cpc + 3);
+        bin_step st ri b2;
+        acct st fuel costs (cpc + 4);
+        pc := branch st p ri b
+    | PBinBinMovBr (c1, b1, c2, b2, m, b) ->
+        const_step ri c1;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b1;
+        acct st fuel costs (cpc + 2);
+        const_step ri c2;
+        acct st fuel costs (cpc + 3);
+        bin_step st ri b2;
+        acct st fuel costs (cpc + 4);
+        mov_step ri m;
+        acct st fuel costs (cpc + 5);
+        pc := branch st p ri b
+    | PLoadSxLoad (l1, x, l2) ->
+        arr_load st ri rf l1;
+        acct st fuel costs (cpc + 1);
+        sext_step st ri x;
+        acct st fuel costs (cpc + 2);
+        arr_load st ri rf l2;
+        pc := cpc + 3
+    | PLoadSxLoadBr (l1, x, l2, b) ->
+        arr_load st ri rf l1;
+        acct st fuel costs (cpc + 1);
+        sext_step st ri x;
+        acct st fuel costs (cpc + 2);
+        arr_load st ri rf l2;
+        acct st fuel costs (cpc + 3);
+        pc := branch st p ri b
+    | PSxLoadBin (x, l, c, b) ->
+        sext_step st ri x;
+        acct st fuel costs (cpc + 1);
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 2);
+        const_step ri c;
+        acct st fuel costs (cpc + 3);
+        bin_step st ri b;
+        pc := cpc + 4
+    | PSxLoadBinLoadBr (x, l, c, b, l2, br) ->
+        sext_step st ri x;
+        acct st fuel costs (cpc + 1);
+        arr_load st ri rf l;
+        acct st fuel costs (cpc + 2);
+        const_step ri c;
+        acct st fuel costs (cpc + 3);
+        bin_step st ri b;
+        acct st fuel costs (cpc + 4);
+        arr_load st ri rf l2;
+        acct st fuel costs (cpc + 5);
+        pc := branch st p ri br
+    | PLoad2Store2 (l1, l2, s1, s2) ->
+        arr_load st ri rf l1;
+        acct st fuel costs (cpc + 1);
+        arr_load st ri rf l2;
+        acct st fuel costs (cpc + 2);
+        arr_store st ri rf s1;
+        acct st fuel costs (cpc + 3);
+        arr_store st ri rf s2;
+        pc := cpc + 4
+    | PSwapJmp (l1, l2, s1, s2, m, j) ->
+        arr_load st ri rf l1;
+        acct st fuel costs (cpc + 1);
+        arr_load st ri rf l2;
+        acct st fuel costs (cpc + 2);
+        arr_store st ri rf s1;
+        acct st fuel costs (cpc + 3);
+        arr_store st ri rf s2;
+        acct st fuel costs (cpc + 4);
+        mov_step ri m;
+        acct st fuel costs (cpc + 5);
+        pc := jump_to st p j
+    | PBinSext (c, b, x) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b;
+        acct st fuel costs (cpc + 2);
+        sext_step st ri x;
+        pc := cpc + 3
+    | PBinSextMovJmp (c, b, x, m, j) ->
+        const_step ri c;
+        acct st fuel costs (cpc + 1);
+        bin_step st ri b;
+        acct st fuel costs (cpc + 2);
+        sext_step st ri x;
+        acct st fuel costs (cpc + 3);
+        mov_step ri m;
+        acct st fuel costs (cpc + 4);
+        pc := jump_to st p j
+    | PSextMovJmp (x, m, j) ->
+        sext_step st ri x;
+        acct st fuel costs (cpc + 1);
+        mov_step ri m;
+        acct st fuel costs (cpc + 2);
+        pc := jump_to st p j
+    | PGLoadBinBin (g, c1, b1, c2, b2) ->
+        gload_step st ri g;
+        acct st fuel costs (cpc + 1);
+        const_step ri c1;
+        acct st fuel costs (cpc + 2);
+        bin_step st ri b1;
+        acct st fuel costs (cpc + 3);
+        const_step ri c2;
+        acct st fuel costs (cpc + 4);
+        bin_step st ri b2;
+        pc := cpc + 5
   done
 
 (** Call [fn], binding [argv] (packed caller registers) to the callee's
@@ -2969,7 +1550,7 @@ let rec exec (st : state) (p : pfunc) (ri : int64 array) (rf : float array) : un
     kind-mismatched argument traps ["bad-call-arity"]. Parameter binding
     writes the raw caller value — the canonical machine does not re-extend
     at binding time (the structural engine's [List.iteri] does not either). *)
-and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
+and call_fn st fn fid (caller_ri : regs) (caller_rf : float array)
     (argv : int array) : unit =
   st.depth <- st.depth + 1;
   if st.depth > max_depth then raise (Trap "stack-overflow");
@@ -2978,12 +1559,15 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
   let d = st.depth in
   let ri =
     let cur = st.fpool_i.(d) in
-    if Array.length cur >= n then begin
-      Array.fill cur 0 n 0L;
+    if Bigarray.Array1.dim cur >= n then begin
+      for k = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set cur k 0L
+      done;
       cur
     end
     else begin
-      let a = Array.make n 0L in
+      let a = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n in
+      Bigarray.Array1.fill a 0L;
       st.fpool_i.(d) <- a;
       a
     end
@@ -3008,7 +1592,7 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
     let a = argv.(k) in
     if pk land 1 <> a land 1 then raise (Trap "bad-call-arity");
     if pk land 1 = 1 then rf.(pk lsr 1) <- caller_rf.(a lsr 1)
-    else ri.(pk lsr 1) <- caller_ri.(a lsr 1)
+    else rset ri (pk lsr 1) (rget caller_ri (a lsr 1))
   done;
   exec st p ri rf;
   st.depth <- st.depth - 1
@@ -3018,8 +1602,7 @@ and call_fn st fn fid (caller_ri : int64 array) (caller_rf : float array)
 (* ------------------------------------------------------------------ *)
 
 let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
-    ?profile ?fuse (prog : Prog.t) : outcome =
-  let fuse = match fuse with Some s -> s | None -> Fuse.of_env () in
+    ?profile ~fuse (prog : Prog.t) : outcome =
   let fuel_i =
     if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int
     else Int64.to_int fuel
@@ -3033,7 +1616,7 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
       heap = Vec.create ~dummy:None ();
       gvi = Array.make (gslot_count ()) 0L;
       gvf = Array.make (gslot_count ()) 0.0;
-      fpool_i = Array.make (max_depth + 1) [||];
+      fpool_i = Array.make (max_depth + 1) no_regs;
       fpool_f = Array.make (max_depth + 1) [||];
       buf = Buffer.create 256;
       checksum = 0L;
@@ -3052,7 +1635,7 @@ let run ?(mode = `Faithful) ?(fuel = 2_000_000_000L) ?(count_cycles = true)
     }
   in
   let trap =
-    match call_fn st prog.Prog.main (fslot prog.Prog.main) [||] [||] [||] with
+    match call_fn st prog.Prog.main (fslot prog.Prog.main) no_regs [||] [||] with
     | () -> None
     | exception Trap t -> Some t
   in

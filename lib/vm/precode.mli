@@ -43,6 +43,18 @@ val elem_load : Sxe_ir.Types.aelem -> Sxe_ir.Types.lext -> int64 -> int64
 val elem_store : Sxe_ir.Types.aelem -> int64 -> int64
 val checksum_mix : int64 -> int64 -> int64
 
+(** Which fusion rules a decode applies; {!Fuse} re-exports it. *)
+type selection = All | Off | Rules of string list
+
+val selection_key : selection -> string
+
+val rule_names : string list
+(** The fusion rules of the shape table, in table order. *)
+
+val shape_names : string list
+(** The superinstructions, one per row of the shape table, in table
+    (opcode id) order. *)
+
 type pfunc
 (** A function decoded for one (mode, fusion selection). *)
 
@@ -75,11 +87,11 @@ val disasm : pfunc -> string
     block starts, and the opcode name; slots shadowed by a preceding
     fused superinstruction are marked [.]. Debugging and test aid. *)
 
-val decode : ?fuse:Fuse.selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
+val decode : ?fuse:selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
 (** Decode unconditionally (no cache), applying the selected fusion
-    rules (default [Fuse.Off]). Exposed for tests and benchmarks. *)
+    rules (default [Off]). Exposed for tests and benchmarks. *)
 
-val get_decoded : ?fuse:Fuse.selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
+val get_decoded : ?fuse:selection -> canonical:bool -> Sxe_ir.Cfg.func -> pfunc
 (** Decode through the per-function cache: at most one decode per
     (generation, mode, fusion selection); any mutation through the
     {!Sxe_ir.Cfg} API invalidates every image. *)
@@ -89,11 +101,11 @@ val run :
   ?fuel:int64 ->
   ?count_cycles:bool ->
   ?profile:Profile.t ->
-  ?fuse:Fuse.selection ->
+  fuse:selection ->
   Sxe_ir.Prog.t ->
   outcome
 (** Execute the program's [main]; same contract as {!Interp.run} minus the
     [trace]/[watch] hooks. [fuse] selects which superinstruction-fusion
-    rules the decoder applies (default: the ambient [SXE_FUSE] selection,
-    {!Fuse.of_env}); every selection produces bit-identical outcomes,
-    counters included. *)
+    rules the decoder applies ({!Interp.run} defaults it to the ambient
+    [SXE_FUSE] selection); every selection produces bit-identical
+    outcomes, counters included. *)

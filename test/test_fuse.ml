@@ -1,8 +1,9 @@
 (** Superinstruction-fusion tests: selection parsing, the branch-target
     barrier (a fused group never shadows a jump target), bit-identical
-    fuel exhaustion mid-superinstruction, static hits for every rule and
-    exact dispatch counts on the workloads, and the (generation, fusion
-    selection) keying of the decode cache. The broad three-engine parity
+    fuel exhaustion inside every shape of the table, every shape
+    dispatching in the golden dispatch ledger, exact dispatch counts on
+    the workloads, and the (generation, fusion selection) keying of the
+    decode cache. The broad three-engine parity
     sweeps live in [Test_precode] and the fuzz oracle; these cases pin
     the fusion-specific edges. *)
 
@@ -139,27 +140,102 @@ let test_branch_target_barrier () =
 (* Fuel exhaustion mid-superinstruction                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The golden dispatch ledger (golden/dispatch.tsv): per run, the
+   workload, variant, arch and every opcode's dispatch count under
+   [--fuse all]. *)
+let ledger =
+  lazy
+    (let ic = open_in "../golden/dispatch.tsv" in
+     let rec rows acc =
+       match input_line ic with
+       | exception End_of_file -> List.rev acc
+       | line -> (
+           match String.split_on_char '\t' line with
+           | [ workload; variant; arch; _; _; ops; _; _ ] when workload <> "workload" ->
+               let ops =
+                 List.filter_map
+                   (fun kv ->
+                     match String.split_on_char '=' kv with
+                     | [ k; v ] -> Some (k, int_of_string v)
+                     | _ -> None)
+                   (String.split_on_char ' ' ops)
+               in
+               rows ((workload, variant, arch, ops) :: acc)
+           | _ -> rows acc)
+     in
+     let r = rows [] in
+     close_in ic;
+     r)
+
+(* [name] compiled under [variant] for [arch], as one ledger run. *)
+let compile_run (workload, variant, arch) =
+  let w =
+    List.find
+      (fun (w : Sxe_workloads.Registry.t) -> w.name = workload)
+      (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ())
+  in
+  let config =
+    Sxe_core.Config.of_variant
+      ~arch:(List.assoc arch Sxe_core.Arch.names)
+      (Option.get (Sxe_core.Config.variant_of_name variant))
+  in
+  let prog = Sxe_lang.Frontend.compile w.source in
+  ignore (Sxe_core.Pass.compile config prog);
+  prog
+
 let test_fuel_mid_superinstruction () =
-  (* Sweep the fuel budget across every instruction boundary of the
-     fused loop: each constituent of a superinstruction ticks and traps
-     exactly where its plain counterpart would, so all three engines
-     must agree on the truncated counters for every cutoff — including
-     cutoffs that land in the middle of a fused group. *)
-  let p = counting_loop () in
-  let full = check3 "unbounded" p in
-  let total = Int64.to_int full.Sxe_vm.Interp.executed in
-  Alcotest.(check bool) "loop runs long enough to sweep" true (total > 20);
-  for fuel = 1 to total + 1 do
-    let out = check3 ~fuel:(Int64.of_int fuel) (Printf.sprintf "fuel=%d" fuel) p in
-    if fuel < total then
-      Alcotest.(check (option string))
-        (Printf.sprintf "fuel=%d traps" fuel)
-        (Some "fuel-exhausted") out.Sxe_vm.Interp.trap
-    else
-      Alcotest.(check (option string))
-        (Printf.sprintf "fuel=%d completes" fuel)
-        None out.Sxe_vm.Interp.trap
-  done
+  (* For every row of the shape table: take the first ledger run where
+     the shape dispatches, find the instruction count [e0] before its
+     first dispatch, and sweep the fuel budget across every constituent
+     boundary of that group, one either side. Each constituent ticks
+     and traps exactly where its plain counterpart would, so all three
+     engines must agree on the truncated counters at every cutoff. *)
+  List.iter
+    (fun shape ->
+      let run =
+        List.find_map
+          (fun (w, v, a, ops) ->
+            if List.mem_assoc shape ops then Some (w, v, a) else None)
+          (Lazy.force ledger)
+      in
+      let w, v, a =
+        match run with
+        | Some r -> r
+        | None -> Alcotest.failf "%s dispatches in no ledger run" shape
+      in
+      let p = compile_run (w, v, a) in
+      let dispatched fuel =
+        let prof = Sxe_vm.Profile.create () in
+        Sxe_vm.Precode.enable_dispatch prof;
+        ignore
+          (Sxe_vm.Interp.run ~engine:`Precode ~fuse:Sxe_vm.Fuse.All ~profile:prof
+             ~fuel:(Int64.of_int fuel) p);
+        List.find_map
+          (fun (n, width, _) -> if n = shape then Some width else None)
+          (Sxe_vm.Precode.dispatch_ops prof)
+      in
+      (* the least budget that reaches the group's first dispatch *)
+      let rec search lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if dispatched mid <> None then search lo mid else search (mid + 1) hi
+      in
+      let total = Int64.to_int (check3 (shape ^ " unbounded") p).Sxe_vm.Interp.executed in
+      let e0 = search 0 total in
+      let width = Option.get (dispatched e0) in
+      for fuel = max 0 (e0 - 1) to e0 + width + 1 do
+        let out =
+          check3 ~fuel:(Int64.of_int fuel)
+            (Printf.sprintf "%s (%s/%s/%s), fuel=%d" shape w v a fuel)
+            p
+        in
+        if fuel < e0 + width then
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: fuel=%d traps" shape fuel)
+            (Some "fuel-exhausted") out.Sxe_vm.Interp.trap
+      done)
+    Sxe_vm.Precode.shape_names
 
 (* ------------------------------------------------------------------ *)
 (* Plain Zext between fused groups: byte-histogram idiom, fuel sweep   *)
@@ -231,23 +307,20 @@ let compiled_workloads =
          (w.name, prog))
        (Sxe_workloads.Registry.all ~scale:1 () @ Sxe_workloads.Registry.extras ~scale:1 ()))
 
-let test_every_rule_hits () =
-  (* a rule that never matches the workloads is dead code: each name in
-     [Fuse.rule_names] must fuse at least one group somewhere *)
-  let hits = Hashtbl.create 16 in
+let test_every_shape_dispatches () =
+  (* a shape that never dispatches on the workloads is dead code: each
+     row of the shape table (so each fusion rule, chain included) must
+     dispatch in at least one run of the golden ledger *)
+  let counts = Hashtbl.create 32 in
   List.iter
-    (fun (_, prog) ->
-      Prog.iter_funcs
-        (fun f ->
-          let img = Sxe_vm.Precode.get_decoded ~fuse:Sxe_vm.Fuse.All ~canonical:false f in
-          List.iter
-            (fun (rule, n) ->
-              Hashtbl.replace hits rule (n + Option.value ~default:0 (Hashtbl.find_opt hits rule)))
-            (Sxe_vm.Precode.fusion_stats img))
-        prog)
-    (Lazy.force compiled_workloads);
-  Alcotest.(check (list string)) "rules without a static hit" []
-    (List.filter (fun r -> not (Hashtbl.mem hits r)) Sxe_vm.Fuse.rule_names)
+    (fun (_, _, _, ops) ->
+      List.iter
+        (fun (n, c) ->
+          Hashtbl.replace counts n (c + Option.value ~default:0 (Hashtbl.find_opt counts n)))
+        ops)
+    (Lazy.force ledger);
+  Alcotest.(check (list string)) "shapes that never dispatch" []
+    (List.filter (fun s -> not (Hashtbl.mem counts s)) Sxe_vm.Precode.shape_names)
 
 let test_dispatch_counts () =
   (* every dispatch is counted: unfused, one dispatch per executed
@@ -346,7 +419,8 @@ let suite =
     Alcotest.test_case "fuel exhaustion mid-superinstruction" `Quick
       test_fuel_mid_superinstruction;
     Alcotest.test_case "fuel sweep through plain Zext" `Quick test_fuel_through_zext;
-    Alcotest.test_case "every rule fuses on the workloads" `Quick test_every_rule_hits;
+    Alcotest.test_case "every shape dispatches in the golden ledger" `Quick
+      test_every_shape_dispatches;
     Alcotest.test_case "exact dispatch counts" `Quick test_dispatch_counts;
     Alcotest.test_case "decode cache keyed by fusion selection" `Quick
       test_cache_keyed_by_selection;
