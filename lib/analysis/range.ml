@@ -211,22 +211,16 @@ let transfer ?call_ranges ~(tracked : bool array) (st : state) (i : Instr.t) =
          witnesses a successful bounds check *)
       if (match i.op with JustExt _ -> true | _ -> false) then
         set r (meet (get r) (0L, max_index))
-  | Sext { r; from = W8 } -> set r (narrow_to (-128L, 127L) (get r))
-  | Sext { r; from = W16 } -> set r (narrow_to (-32768L, 32767L) (get r))
-  | Sext { r = _; from = W64 } -> ()
-  | Zext { r; from = W8 } -> set r (narrow_to (0L, 255L) (get r))
-  | Zext { r; from = W16 } -> set r (narrow_to (0L, 65535L) (get r))
-  | Zext { r = _; from = W64 } -> ()
+  | Sext { r; from = (W8 | W16) as w } -> set r (narrow_to (window Sign w) (get r))
+  | Zext { r; from = (W8 | W16) as w } -> set r (narrow_to (window Zero w) (get r))
+  | Sext { r = _; from = W64 } | Zext { r = _; from = W64 } -> ()
   | I2D _ | L2D _ | D2L _ | FBinop _ | FNeg _ -> ()
   | D2I { dst; _ } -> set dst top
   | NewArr { len; _ } -> set len (meet (get len) (0L, i32_max))
   | ArrLoad { dst; idx; elem; lext; _ } ->
       set idx (meet (get idx) (0L, max_index));
       (match (elem, lext) with
-      | AI8, LZero -> set dst (0L, 255L)
-      | AI8, LSign -> set dst (-128L, 127L)
-      | AI16, LZero -> set dst (0L, 65535L)
-      | AI16, LSign -> set dst (-32768L, 32767L)
+      | ((AI8 | AI16) as e), _ -> set dst (window (ekind_of_lext lext) (width_of_aelem e))
       | AI32, _ -> set dst top
       | (AI64 | AF64 | ARef), _ -> ())
   | ArrStore { idx; _ } -> set idx (meet (get idx) (0L, max_index))

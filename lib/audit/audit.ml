@@ -151,20 +151,48 @@ let recertify_without ?maxlen ?call_ranges (f : Cfg.func) (s : site) :
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let window = function
-  | Types.W8 -> (-128L, 127L)
-  | Types.W16 -> (-32768L, 32767L)
-  | _ -> invalid_arg "Audit.window"
+let other = function Types.Sign -> Types.Zero | Types.Zero -> Types.Sign
 
-(* A truncating [Zext] is the identity on the low bits exactly when the
-   operand lies in the unsigned window. *)
-let zwindow = function
-  | Types.W8 -> (0L, 255L)
-  | Types.W16 -> (0L, 65535L)
-  | _ -> invalid_arg "Audit.zwindow"
+(** What the auditor's rules say differently for the two extension
+    kinds. *)
+type rules = {
+  fact : Extstate.t -> bool;
+      (** the [W32] fact a [kind] extension establishes: [ext] / [zup] *)
+  def : Instr.op -> bool;
+      (** the defining instructions that always establish [fact] *)
+  converts : bool;
+      (** [Zext] only: a sign-extended non-negative operand already has
+          zero upper bits (the sext→zext conversion fact) *)
+  name : string;  (** as in "sign-extended" *)
+  ones : string;  (** what a negative value costs the other kind's proof *)
+  cleans : string;
+  truncating : string;
+  window : string;  (** names [Types.window kind] *)
+}
 
-let in_window (lo, hi) (wlo, whi) = lo >= wlo && hi <= whi
-let outside_window (lo, hi) (wlo, whi) = hi < wlo || lo > whi
+let rules = function
+  | Types.Sign ->
+      {
+        fact = (fun s -> s.Extstate.ext);
+        def = Instr.def_always_extended;
+        converts = false;
+        name = "sign";
+        ones = "";
+        cleans = "cleans";
+        truncating = "extension";
+        window = "";
+      }
+  | Types.Zero ->
+      {
+        fact = (fun s -> s.Extstate.zup);
+        def = Instr.def_upper_zero;
+        converts = true;
+        name = "zero";
+        ones = ", so the upper bits can be ones";
+        cleans = "clears";
+        truncating = "zero extension";
+        window = "unsigned ";
+      }
 
 (** The op at the far end of a witness chain (the origin definition),
     if the chain is non-empty and the id still resolves in [f]. *)
@@ -176,290 +204,143 @@ let origin_op (f : Cfg.func) (witness : (int * int) list) : Instr.op option =
       | _, i -> Some i.Instr.op
       | exception Not_found -> None)
 
-(** Classify one W32 [Sext]: identity when the certifier already proves
-    the operand extended; otherwise a deletion experiment decides
-    whether anything demands the upper bits it writes. *)
-let classify_w32 ?maxlen ?call_ranges ~sol ~rng ~clean (f : Cfg.func) ~bid ~iid
-    ~(st : Extstate.t) r (mk : verdict -> site) : site =
-  if st.Extstate.ext then begin
-    (* The extension is the identity: its operand is already extended.
-       Name the fact. The polarity flip follows extended-origin paths
-       (see {!Certify.witness}). *)
-    let wit =
-      Certify.witness sol ~bid ~stop:(Some iid) r
-        ~fact:(fun s -> not s.Extstate.ext)
-    in
-    let lo, _ = Range.before (Lazy.force rng) ~bid ~iid r in
-    let fact =
-      match origin_op f wit with
-      | Some op when Instr.def_always_extended op -> Def_extended
-      | _ when lo >= 0L -> Range_nonneg
-      | _ -> Flow_extended
-    in
-    mk (Redundant { fact; witness = wit })
-  end
-  else if not clean then
-    mk
-      (Unknown
-         {
-           reason =
-             "function does not certify as-is; deletion experiment skipped";
-         })
+let demanded_at (e : Certify.error) =
+  Certify.loc_to_string ~bid:e.Certify.bid ~iid:e.Certify.iid
+
+(** The deletion experiment, for a site no proof covers: the site is
+    [kept]-redundant when its function still certifies without it, and
+    [demanded] names the verdict for the first certification error
+    otherwise. Skipped, as unknown, when the function does not certify
+    as-is. *)
+let experiment ?maxlen ?call_ranges ~clean (f : Cfg.func) (mk : verdict -> site)
+    ~skipped ~kept demanded : site =
+  if not clean then mk (Unknown { reason = skipped })
   else
     match recertify_without ?maxlen ?call_ranges f (mk (Unknown { reason = "" })) with
-    | [] -> mk (Redundant { fact = Dead_upper; witness = [] })
-    | e :: _ -> (
-        let lo, hi = Range.before (Lazy.force rng) ~bid ~iid r in
-        let demanded =
-          Printf.sprintf "demanded at %s"
-            (Certify.loc_to_string ~bid:e.Certify.bid ~iid:e.Certify.iid)
-        in
-        match origin_op f e.Certify.witness with
-        | Some (Instr.Mov { src; ty = Types.I32; _ })
-          when Cfg.reg_ty f src = Types.I64 ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ "; the operand truncates a 64-bit value (l2i), so its \
-                        upper bits are garbage without the extension";
-                 })
-        | Some
-            ( Instr.ArrLoad { elem = Types.AI32; lext = Types.LZero; _ }
-            | Instr.GLoad { ty = Types.I32; lext = Types.LZero; _ } )
-          when lo < 0L ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; a zero-extending 32-bit load can deliver a \
-                          negative value (range [%Ld,%Ld])"
-                         lo hi;
-                 })
-        | _ when st.Extstate.zup && lo < 0L ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; the operand is zero-extended but its range \
-                          [%Ld,%Ld] admits negative values"
-                         lo hi;
-                 })
-        | _ ->
-            mk
-              (Unknown
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; range [%Ld,%Ld] is inconclusive — speculation \
-                          candidate"
-                         lo hi;
-                 }))
+    | [] -> mk (Redundant { fact = kept; witness = [] })
+    | e :: _ -> mk (demanded e)
 
-(** Classify a truncating (W8/W16) [Sext]: the range decides the low
-    bits, a deletion experiment the upper ones. *)
-let classify_sub ?maxlen ?call_ranges ~rng ~clean (f : Cfg.func) ~bid ~iid
-    ~(st : Extstate.t) ~w r (mk : verdict -> site) : site =
-  let wlo, whi = window w in
-  let ((lo, hi) as iv) = Range.before (Lazy.force rng) ~bid ~iid r in
-  if in_window iv (wlo, whi) then
-    if st.Extstate.ext then mk (Redundant { fact = Range_window; witness = [] })
-    else if not clean then
-      mk
-        (Unknown
-           {
-             reason =
-               "operand fits the window but the function does not certify; \
-                deletion experiment skipped";
-           })
-    else
-      match recertify_without ?maxlen ?call_ranges f (mk (Unknown { reason = "" })) with
-      | [] -> mk (Redundant { fact = Range_window; witness = [] })
-      | e :: _ ->
-          mk
-            (Necessary
-               {
-                 reason =
-                   Printf.sprintf
-                     "upper bits are demanded at %s and only this extension \
-                      cleans them"
-                     (Certify.loc_to_string ~bid:e.Certify.bid
-                        ~iid:e.Certify.iid);
-               })
-  else if outside_window iv (wlo, whi) then
-    mk
-      (Necessary
-         {
-           reason =
-             Printf.sprintf
-               "every value in range [%Ld,%Ld] lies outside [%Ld,%Ld]; the \
-                truncating extension rewrites the low bits (e.g. %Ld)"
-               lo hi wlo whi lo;
-         })
-  else
-    mk
-      (Unknown
-         {
-           reason =
-             Printf.sprintf
-               "range [%Ld,%Ld] straddles the W%s window — speculation \
-                candidate"
-               lo hi (Types.string_of_width w);
-         })
+(** Classify one explicit extension of [kind] from [w] bits.
 
-(** Classify one W32 [Zext]: identity when the certifier proves the
-    operand's upper 32 bits already zero — directly ([zup]) or via the
-    sext→zext conversion fact (sign-extended and provably
-    non-negative) — otherwise a deletion experiment decides whether
-    anything demands the bits it clears. *)
-let classify_zext_w32 ?maxlen ?call_ranges ~sol ~rng ~clean (f : Cfg.func) ~bid
-    ~iid ~(st : Extstate.t) r (mk : verdict -> site) : site =
+    At [W32] the extension is the identity when the certifier proves its
+    fact on the operand — for [Zext] also when the operand is
+    sign-extended and provably non-negative; otherwise a deletion
+    experiment decides whether anything demands the upper bits it
+    writes, and a failed one looks for a concrete reason.
+
+    At [W8]/[W16] the range decides the low bits: the extension keeps
+    them exactly when the operand lies in [Types.window kind w]. The
+    upper bits are then clean when the kind's [W32] fact holds, and a
+    deletion experiment decides otherwise. *)
+let classify_ext ?maxlen ?call_ranges ~sol ~rng ~clean (f : Cfg.func) ~bid ~iid
+    ~(st : Extstate.t) ~kind ~w r (mk : verdict -> site) : site =
+  let k = rules kind and o = rules (other kind) in
   let lo, hi = Range.before (Lazy.force rng) ~bid ~iid r in
-  if st.Extstate.zup then begin
-    let wit =
-      Certify.witness sol ~bid ~stop:(Some iid) r
-        ~fact:(fun s -> not s.Extstate.zup)
-    in
-    let fact =
-      match origin_op f wit with
-      | Some op when Instr.def_upper_zero op -> Def_extended
-      | _ when lo >= 0L -> Range_nonneg
-      | _ -> Flow_extended
-    in
-    mk (Redundant { fact; witness = wit })
-  end
-  else if st.Extstate.ext && lo >= 0L then
-    (* Sign-extended and non-negative: the upper bits are already
-       zero. The witness chain names the sign-extension proof. *)
-    let wit =
-      Certify.witness sol ~bid ~stop:(Some iid) r
-        ~fact:(fun s -> not s.Extstate.ext)
-    in
-    mk (Redundant { fact = Range_nonneg; witness = wit })
-  else if not clean then
-    mk
-      (Unknown
-         {
-           reason =
-             "function does not certify as-is; deletion experiment skipped";
-         })
+  let experiment = experiment ?maxlen ?call_ranges ~clean f mk in
+  let witness (p : rules) =
+    Certify.witness sol ~bid ~stop:(Some iid) r ~fact:(fun s -> not (p.fact s))
+  in
+  if w = Types.W32 then
+    if k.fact st then
+      (* The extension is the identity: its operand is already extended.
+         Name the fact. The polarity flip follows extended-origin paths
+         (see {!Certify.witness}). *)
+      let wit = witness k in
+      let fact =
+        match origin_op f wit with
+        | Some op when k.def op -> Def_extended
+        | _ when lo >= 0L -> Range_nonneg
+        | _ -> Flow_extended
+      in
+      mk (Redundant { fact; witness = wit })
+    else if k.converts && o.fact st && lo >= 0L then
+      (* The witness chain names the sign-extension proof. *)
+      mk (Redundant { fact = Range_nonneg; witness = witness o })
+    else
+      experiment ~skipped:"function does not certify as-is; deletion experiment skipped"
+        ~kept:Dead_upper (fun e ->
+          let demanded = "demanded at " ^ demanded_at e in
+          match origin_op f e.Certify.witness with
+          | Some (Instr.Mov { src; ty = Types.I32; _ })
+            when Cfg.reg_ty f src = Types.I64 ->
+              Necessary
+                {
+                  reason =
+                    demanded
+                    ^ "; the operand truncates a 64-bit value (l2i), so its \
+                       upper bits are garbage without the extension";
+                }
+          | Some
+              ( Instr.ArrLoad { elem = Types.AI32; lext; _ }
+              | Instr.GLoad { ty = Types.I32; lext; _ } )
+            when lext = Types.lext_of_ekind (other kind) && lo < 0L ->
+              Necessary
+                {
+                  reason =
+                    demanded
+                    ^ Printf.sprintf
+                        "; a %s-extending 32-bit load can deliver a negative \
+                         value (range [%Ld,%Ld])%s"
+                        o.name lo hi k.ones;
+                }
+          | _ when o.fact st && lo < 0L ->
+              Necessary
+                {
+                  reason =
+                    demanded
+                    ^ Printf.sprintf
+                        "; the operand is %s-extended but its range [%Ld,%Ld] \
+                         admits negative values%s"
+                        o.name lo hi k.ones;
+                }
+          | _ ->
+              Unknown
+                {
+                  reason =
+                    demanded
+                    ^ Printf.sprintf
+                        "; range [%Ld,%Ld] is inconclusive — speculation \
+                         candidate"
+                        lo hi;
+                })
   else
-    match recertify_without ?maxlen ?call_ranges f (mk (Unknown { reason = "" })) with
-    | [] -> mk (Redundant { fact = Dead_upper; witness = [] })
-    | e :: _ -> (
-        let demanded =
-          Printf.sprintf "demanded at %s"
-            (Certify.loc_to_string ~bid:e.Certify.bid ~iid:e.Certify.iid)
-        in
-        match origin_op f e.Certify.witness with
-        | Some (Instr.Mov { src; ty = Types.I32; _ })
-          when Cfg.reg_ty f src = Types.I64 ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ "; the operand truncates a 64-bit value (l2i), so its \
-                        upper bits are garbage without the extension";
-                 })
-        | Some
-            ( Instr.ArrLoad { elem = Types.AI32; lext = Types.LSign; _ }
-            | Instr.GLoad { ty = Types.I32; lext = Types.LSign; _ } )
-          when lo < 0L ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; a sign-extending 32-bit load can deliver a \
-                          negative value (range [%Ld,%Ld]), so the upper \
-                          bits can be ones"
-                         lo hi;
-                 })
-        | _ when st.Extstate.ext && lo < 0L ->
-            mk
-              (Necessary
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; the operand is sign-extended but its range \
-                          [%Ld,%Ld] admits negative values, so the upper \
-                          bits can be ones"
-                         lo hi;
-                 })
-        | _ ->
-            mk
-              (Unknown
-                 {
-                   reason =
-                     demanded
-                     ^ Printf.sprintf
-                         "; range [%Ld,%Ld] is inconclusive — speculation \
-                          candidate"
-                         lo hi;
-                 }))
-
-(** Classify a truncating (W8/W16) [Zext]: the unsigned window decides
-    the low bits, a deletion experiment the upper ones. *)
-let classify_zext_sub ?maxlen ?call_ranges ~rng ~clean (f : Cfg.func) ~bid ~iid
-    ~(st : Extstate.t) ~w r (mk : verdict -> site) : site =
-  let wlo, whi = zwindow w in
-  let ((lo, hi) as iv) = Range.before (Lazy.force rng) ~bid ~iid r in
-  if in_window iv (wlo, whi) then
-    (* In the unsigned window, bits [w..31] are already zero; the mask
-       touches only the upper 32, which [zup] proves already clean. *)
-    if st.Extstate.zup then
-      mk (Redundant { fact = Range_window; witness = [] })
-    else if not clean then
+    let wlo, whi = Types.window kind w in
+    if lo >= wlo && hi <= whi then
+      if k.fact st then mk (Redundant { fact = Range_window; witness = [] })
+      else
+        experiment
+          ~skipped:
+            "operand fits the window but the function does not certify; \
+             deletion experiment skipped"
+          ~kept:Range_window (fun e ->
+            Necessary
+              {
+                reason =
+                  Printf.sprintf
+                    "upper bits are demanded at %s and only this extension %s \
+                     them"
+                    (demanded_at e) k.cleans;
+              })
+    else if hi < wlo || lo > whi then
+      mk
+        (Necessary
+           {
+             reason =
+               Printf.sprintf
+                 "every value in range [%Ld,%Ld] lies outside [%Ld,%Ld]; the \
+                  truncating %s rewrites the low bits (e.g. %Ld)"
+                 lo hi wlo whi k.truncating lo;
+           })
+    else
       mk
         (Unknown
            {
              reason =
-               "operand fits the window but the function does not certify; \
-                deletion experiment skipped";
+               Printf.sprintf
+                 "range [%Ld,%Ld] straddles the %sW%s window — speculation \
+                  candidate"
+                 lo hi k.window (Types.string_of_width w);
            })
-    else
-      match recertify_without ?maxlen ?call_ranges f (mk (Unknown { reason = "" })) with
-      | [] -> mk (Redundant { fact = Range_window; witness = [] })
-      | e :: _ ->
-          mk
-            (Necessary
-               {
-                 reason =
-                   Printf.sprintf
-                     "upper bits are demanded at %s and only this extension \
-                      clears them"
-                     (Certify.loc_to_string ~bid:e.Certify.bid
-                        ~iid:e.Certify.iid);
-               })
-  else if outside_window iv (wlo, whi) then
-    mk
-      (Necessary
-         {
-           reason =
-             Printf.sprintf
-               "every value in range [%Ld,%Ld] lies outside [%Ld,%Ld]; the \
-                truncating zero extension rewrites the low bits (e.g. %Ld)"
-               lo hi wlo whi lo;
-         })
-  else
-    mk
-      (Unknown
-         {
-           reason =
-             Printf.sprintf
-               "range [%Ld,%Ld] straddles the unsigned W%s window — \
-                speculation candidate"
-               lo hi (Types.string_of_width w);
-         })
 
 (** Classify the implicit extension of a 32-bit [LSign] load: flipping
     it to [LZero] keeps the low 32 bits, so the flip is sound when the
@@ -469,25 +350,16 @@ let classify_load ?maxlen ?call_ranges ~rng ~clean (f : Cfg.func) ~bid ~iid dst
     (mk : verdict -> site) : site =
   let lo, _ = Range.after (Lazy.force rng) ~bid ~iid dst in
   if lo >= 0L then mk (Redundant { fact = Range_nonneg; witness = [] })
-  else if not clean then
-    mk
-      (Unknown
-         {
-           reason =
-             "function does not certify as-is; load-flip experiment skipped";
-         })
   else
-    match recertify_without ?maxlen ?call_ranges f (mk (Unknown { reason = "" })) with
-    | [] -> mk (Redundant { fact = Dead_upper; witness = [] })
-    | e :: _ ->
-        mk
-          (Necessary
-             {
-               reason =
-                 Printf.sprintf
-                   "the sign extension this load performs is demanded at %s"
-                   (Certify.loc_to_string ~bid:e.Certify.bid ~iid:e.Certify.iid);
-             })
+    experiment ?maxlen ?call_ranges ~clean f mk
+      ~skipped:"function does not certify as-is; load-flip experiment skipped"
+      ~kept:Dead_upper (fun e ->
+        Necessary
+          {
+            reason =
+              "the sign extension this load performs is demanded at "
+              ^ demanded_at e;
+          })
 
 (** Audit one function against an already-solved certification
     instance. [call_ranges] feeds interprocedural return-range
@@ -521,36 +393,19 @@ let audit_func_solved ?maxlen ?call_ranges ?assume_redundant
               verdict;
             }
           in
-          match op with
-          | Instr.Sext { r; from = Types.W32 } ->
-              sites :=
-                classify_w32 ?maxlen ?call_ranges ~sol ~rng ~clean f ~bid ~iid ~st:(state r)
-                  r
-                  (mk (Explicit (Types.Sign, Types.W32)) r)
-                :: !sites
-          | Instr.Sext { r; from = (Types.W8 | Types.W16) as w } ->
-              sites :=
-                classify_sub ?maxlen ?call_ranges ~rng ~clean f ~bid ~iid ~st:(state r) ~w r
-                  (mk (Explicit (Types.Sign, w)) r)
-                :: !sites
-          | Instr.Zext { r; from = Types.W32 } ->
-              sites :=
-                classify_zext_w32 ?maxlen ?call_ranges ~sol ~rng ~clean f ~bid ~iid
-                  ~st:(state r) r
-                  (mk (Explicit (Types.Zero, Types.W32)) r)
-                :: !sites
-          | Instr.Zext { r; from = (Types.W8 | Types.W16) as w } ->
-              sites :=
-                classify_zext_sub ?maxlen ?call_ranges ~rng ~clean f ~bid ~iid ~st:(state r)
-                  ~w r
-                  (mk (Explicit (Types.Zero, w)) r)
-                :: !sites
-          | Instr.ArrLoad { dst; elem = Types.AI32; lext = Types.LSign; _ }
-          | Instr.GLoad { dst; ty = Types.I32; lext = Types.LSign; _ } ->
-              sites :=
-                classify_load ?maxlen ?call_ranges ~rng ~clean f ~bid ~iid dst
-                  (mk Load_implied dst)
-                :: !sites
+          let add site = sites := site :: !sites in
+          match (Instr.ext_kind op, op) with
+          | Some (kind, r, ((Types.W8 | Types.W16 | Types.W32) as w)), _ ->
+              add
+                (classify_ext ?maxlen ?call_ranges ~sol ~rng ~clean f ~bid ~iid
+                   ~st:(state r) ~kind ~w r
+                   (mk (Explicit (kind, w)) r))
+          | ( None,
+              ( Instr.ArrLoad { dst; elem = Types.AI32; lext = Types.LSign; _ }
+              | Instr.GLoad { dst; ty = Types.I32; lext = Types.LSign; _ } ) ) ->
+              add
+                (classify_load ?maxlen ?call_ranges ~rng ~clean f ~bid ~iid dst
+                   (mk Load_implied dst))
           | _ -> ()));
   List.rev !sites
 

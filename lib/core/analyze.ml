@@ -375,17 +375,11 @@ let rec analyze_use ctx (use : Chains.use_site) ~tracked ~analyze_array:aa : boo
 (* Sub-32-bit extensions: definition-side analysis at their width        *)
 (* ------------------------------------------------------------------ *)
 
-let width_range = function
-  | W8 -> (-128L, 127L)
-  | W16 -> (-32768L, 32767L)
-  | W32 -> (Range.i32_min, Range.i32_max)
-  | W64 -> (Int64.min_int, Int64.max_int)
-
 (** Is the value already sign-extended {e from} the given sub-width? True
     when additionally the full register is 32-bit-extended and the 32-bit
     value fits the sub-width range. *)
 let rec extended_from ctx ~from (site : Reaching.def_site) : bool =
-  let wlo, whi = width_range from in
+  let wlo, whi = Types.window Sign from in
   match site with
   | Reaching.DParam _ -> false
   | Reaching.DIns i ->
@@ -416,13 +410,7 @@ let rec extended_from ctx ~from (site : Reaching.def_site) : bool =
     instructions — an extension beyond the paper, which only eliminates
     sign extensions.) *)
 let rec zero_extended_from ctx ~from (site : Reaching.def_site) : bool =
-  let whi =
-    match from with
-    | W8 -> 255L
-    | W16 -> 65535L
-    | W32 -> 0xFFFF_FFFFL
-    | W64 -> Int64.max_int
-  in
+  let _, whi = Types.window Zero from in
   match site with
   | Reaching.DParam _ -> false
   | Reaching.DIns i ->
@@ -467,59 +455,44 @@ let rec zero_extended_from ctx ~from (site : Reaching.def_site) : bool =
 
 type verdict = Kept | Eliminated
 
-(** The paper's [EliminateOneExtend]: analyze one [Sext] and delete it if
-    redundant, updating the UD/DU chains incrementally. *)
+(** Is the value defined at [site] already [kind]-extended from [from]
+    bits, so that the candidate extension would be the identity on it? *)
+let already_extended ctx ~kind ~from site =
+  match (kind, from) with
+  | Sign, W32 -> not (analyze_def ctx site)
+  | Sign, _ -> extended_from ctx ~from site
+  | Zero, _ -> zero_extended_from ctx ~from site
+
+(** The paper's [EliminateOneExtend], for either kind at any width:
+    delete the extension when every reaching definition is already
+    extended. A [W32] extension is also removable when no reached use
+    observes the upper half ([AnalyzeUSE], of either kind); 8/16-bit
+    extensions change the low 32 bits, so for them only the definitions
+    decide. The UD/DU chains are updated incrementally. *)
 let eliminate_one ctx (ext : Instr.t) : verdict =
   ctx.gen <- ctx.gen + 1;
   ctx.current <- ext;
+  let kind, r, from =
+    match Instr.ext_kind ext.op with
+    | Some k -> k
+    | None -> invalid_arg "Analyze.eliminate_one: not an extension"
+  in
+  let required_by_uses () =
+    List.exists
+      (fun u -> analyze_use ctx u ~tracked:r ~analyze_array:true)
+      (Chains.du_of_instr ctx.chains ext)
+  in
   let required =
-    match ext.op with
-    | Instr.Sext { from = W32; r } ->
-        let required_by_uses =
-          List.exists
-            (fun u -> analyze_use ctx u ~tracked:r ~analyze_array:true)
-            (Chains.du_of_instr ctx.chains ext)
-        in
-        if not required_by_uses then false
-        else begin
-          (* uses require an extended value; is the source already
-             extended? *)
-          let defs = Chains.ud_at_instr ctx.chains ext r in
-          not (defs <> [] && List.for_all (fun d -> not (analyze_def ctx d)) defs)
-        end
-    | Instr.Sext { from; r } ->
-        (* 8/16-bit extensions change the low 32 bits; only removable when
-           the value is already extended from that width *)
-        let defs = Chains.ud_at_instr ctx.chains ext r in
-        not (defs <> [] && List.for_all (extended_from ctx ~from) defs)
-    | Instr.Zext { from = W32; r } ->
-        (* the zero-kind mirror of the [Sext W32] case: removable when no
-           reached use observes the upper half (of either kind), or when
-           every reaching definition is already upper-zero *)
-        let required_by_uses =
-          List.exists
-            (fun u -> analyze_use ctx u ~tracked:r ~analyze_array:true)
-            (Chains.du_of_instr ctx.chains ext)
-        in
-        if not required_by_uses then false
-        else begin
-          let defs = Chains.ud_at_instr ctx.chains ext r in
-          not (defs <> [] && List.for_all (zero_extended_from ctx ~from:W32) defs)
-        end
-    | Instr.Zext { from; r } ->
-        (* 8/16-bit zero extensions change the low 32 bits; only removable
-           when the value is already zero-extended from that width *)
-        let defs = Chains.ud_at_instr ctx.chains ext r in
-        not (defs <> [] && List.for_all (zero_extended_from ctx ~from) defs)
-    | _ -> invalid_arg "Analyze.eliminate_one: not an extension"
+    (from <> W32 || required_by_uses ())
+    &&
+    let defs = Chains.ud_at_instr ctx.chains ext r in
+    not (defs <> [] && List.for_all (already_extended ctx ~kind ~from) defs)
   in
   if required then Kept
   else begin
     Chains.delete_same_reg_def ctx.chains ext;
     ctx.stats.Stats.eliminated <- ctx.stats.Stats.eliminated + 1;
-    (match ext.op with
-    | Instr.Zext _ ->
-        ctx.stats.Stats.eliminated_zext <- ctx.stats.Stats.eliminated_zext + 1
-    | _ -> ());
+    if kind = Zero then
+      ctx.stats.Stats.eliminated_zext <- ctx.stats.Stats.eliminated_zext + 1;
     Eliminated
   end

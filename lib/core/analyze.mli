@@ -47,5 +47,6 @@ val zero_extended_from :
 type verdict = Kept | Eliminated
 
 val eliminate_one : ctx -> Sxe_ir.Instr.t -> verdict
-(** The paper's [EliminateOneExtend]: analyze one [Sext] and delete it if
-    redundant, updating the chains incrementally. *)
+(** The paper's [EliminateOneExtend], for a [Sext] or [Zext] at any
+    width: analyze it and delete it if redundant, updating the chains
+    incrementally. *)

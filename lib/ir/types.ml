@@ -96,6 +96,21 @@ let lext_of_ekind = function Sign -> LSign | Zero -> LZero
 
 let ekind_of_lext = function LSign -> Sign | LZero -> Zero
 
+(** [window kind w]: the values a register holds after a [kind]
+    extension from [w] bits — the signed window for [Sign], the unsigned
+    one for [Zero]. A truncating extension is the identity exactly on
+    its window. *)
+let window kind w =
+  match (kind, w) with
+  | Sign, W8 -> (-128L, 127L)
+  | Sign, W16 -> (-32768L, 32767L)
+  | Sign, W32 -> (-2147483648L, 2147483647L)
+  | Sign, W64 -> (Int64.min_int, Int64.max_int)
+  | Zero, W8 -> (0L, 255L)
+  | Zero, W16 -> (0L, 65535L)
+  | Zero, W32 -> (0L, 0xFFFF_FFFFL)
+  | Zero, W64 -> (0L, Int64.max_int)
+
 let string_of_fbinop = function
   | FAdd -> "fadd"
   | FSub -> "fsub"
