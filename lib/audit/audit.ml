@@ -608,15 +608,35 @@ let audit_prog ?maxlen ?fuel ?(verify = true) ?rounds ?assume_redundant
 let rule_redundant = "audit-redundant-ext"
 let rule_speculation = "audit-speculation-candidate"
 
-let finding_of_site severity rule message (s : site) : Lint.finding =
+(* Lint runs every rule over one (solution, function) in turn, so the
+   two audit rules share one classification: each domain keeps the last
+   one it computed. Lint matrices run on pool domains; nothing is
+   shared between them. *)
+let last_classified = Domain.DLS.new_key (fun () -> None)
+
+let classify_once sol f =
+  match Domain.DLS.get last_classified with
+  | Some (sol', f', sites) when sol' == sol && f' == f -> sites
+  | _ ->
+      let sites = audit_func_solved sol f in
+      Domain.DLS.set last_classified (Some (sol, f, sites));
+      sites
+
+let lint_rule name severity doc message : Lint.rule =
   {
-    Lint.rule;
+    Lint.name;
+    doc;
     severity;
-    fname = s.fname;
-    bid = s.bid;
-    iid = Some s.iid;
-    idx = s.idx;
-    message;
+    check =
+      (fun sol f ->
+        List.filter_map
+          (fun s ->
+            Option.map
+              (fun message ->
+                { Lint.rule = name; severity; fname = s.fname; bid = s.bid;
+                  iid = Some s.iid; idx = s.idx; message })
+              (message s))
+          (classify_once sol f));
   }
 
 (** The auditor's classifier as lint rules (static only — no deletion
@@ -624,45 +644,21 @@ let finding_of_site severity rule message (s : site) : Lint.finding =
     [sxopt audit]). *)
 let lint_rules : Lint.rule list =
   [
-    {
-      Lint.name = rule_redundant;
-      doc =
-        "surviving extension the residue auditor classifies as provably \
-         redundant";
-      severity = Lint.Warning;
-      check =
-        (fun sol f ->
-          List.filter_map
-            (fun s ->
-              match s.verdict with
-              | Redundant { fact; _ } ->
-                  Some
-                    (finding_of_site Lint.Warning rule_redundant
-                       (Printf.sprintf "r%d: provably redundant — %s" s.reg
-                          (fact_to_string fact))
-                       s)
-              | _ -> None)
-            (audit_func_solved sol f));
-    };
-    {
-      Lint.name = rule_speculation;
-      doc =
-        "surviving extension with a range-hostile operand: a speculation \
-         candidate";
-      severity = Lint.Info;
-      check =
-        (fun sol f ->
-          List.filter_map
-            (fun s ->
-              match s.verdict with
-              | Unknown { reason } ->
-                  Some
-                    (finding_of_site Lint.Info rule_speculation
-                       (Printf.sprintf "r%d: %s" s.reg reason)
-                       s)
-              | _ -> None)
-            (audit_func_solved sol f));
-    };
+    lint_rule rule_redundant Lint.Warning
+      "surviving extension the residue auditor classifies as provably \
+       redundant" (fun s ->
+        match s.verdict with
+        | Redundant { fact; _ } ->
+            Some
+              (Printf.sprintf "r%d: provably redundant — %s" s.reg
+                 (fact_to_string fact))
+        | _ -> None);
+    lint_rule rule_speculation Lint.Info
+      "surviving extension with a range-hostile operand: a speculation \
+       candidate" (fun s ->
+        match s.verdict with
+        | Unknown { reason } -> Some (Printf.sprintf "r%d: %s" s.reg reason)
+        | _ -> None);
   ]
 
 let register_lint_rules () = List.iter Lint.register lint_rules
