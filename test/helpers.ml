@@ -4,6 +4,12 @@
 open Sxe_ir
 module B = Builder
 
+(** [fixture path]: the file at [path], relative to the repository
+    root, as dune lays it out beside the test binary — found from any
+    working directory. *)
+let fixture path =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) path
+
 (** Wrap a single function into a program with that function as main. *)
 let prog_of_func ?(globals = []) (f : Cfg.func) =
   let p = Prog.create ~main:f.Cfg.name () in

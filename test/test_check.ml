@@ -45,7 +45,7 @@ let test_workloads_certify () =
     ws
 
 let test_corpus_certifies () =
-  let entries = Sxe_fuzz.Corpus.load_dir "../corpus" in
+  let entries = Sxe_fuzz.Corpus.load_dir (Helpers.fixture "corpus") in
   Alcotest.(check bool) "corpus present" true (entries <> []);
   List.iter
     (fun (name, case) ->

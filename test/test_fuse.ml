@@ -145,7 +145,7 @@ let test_branch_target_barrier () =
    [--fuse all]. *)
 let ledger =
   lazy
-    (let ic = open_in "../golden/dispatch.tsv" in
+    (let ic = open_in (Helpers.fixture "golden/dispatch.tsv") in
      let rec rows acc =
        match input_line ic with
        | exception End_of_file -> List.rev acc

@@ -31,7 +31,7 @@ let check_parity ?fuel msg ~mode (p : Prog.t) =
 (* Committed corpus and registry workloads                             *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_dir = "../corpus"
+let corpus_dir = Helpers.fixture "corpus"
 
 let test_corpus_parity () =
   let entries = Sxe_fuzz.Corpus.load_dir corpus_dir in

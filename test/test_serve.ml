@@ -839,9 +839,8 @@ let test_monoclock () =
 (* Every JSON artifact parses                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The sxopt binary this test depends on, relative to the test's run
-   directory (test/dune). *)
-let sxopt = "../bin/sxopt.exe"
+(* The sxopt binary this test depends on (test/dune). *)
+let sxopt = Helpers.fixture "bin/sxopt.exe"
 
 (* Run sxopt and return its stdout lines; any exit status is accepted
    (a nonzero one reports findings, not a broken artifact). *)
@@ -860,7 +859,7 @@ let parses what line =
    out as valid JSON from every writer. *)
 let test_json_artifacts_parse () =
   let dir = Filename.temp_dir "sxe-json" "" in
-  let src = In_channel.with_open_bin "../corpus/seed-minij-003.minij" In_channel.input_all in
+  let src = In_channel.with_open_bin (Helpers.fixture "corpus/seed-minij-003.minij") In_channel.input_all in
   let names = [ "q\"uote.minij"; "seed-\xc3\xa9-003.minij" ] (* load order *) in
   List.iter
     (fun n ->
