@@ -400,22 +400,6 @@ let ab_medians wname =
   done;
   (median ts *. 1e3, median tu *. 1e3, median tf *. 1e3)
 
-(* Per-workload dispatch-pair histogram (unfused, so the counts name the
-   fusion candidates — the same data `sxopt bench --dispatch-counts`
-   prints), truncated to the hottest pairs for the json artifact. *)
-let dispatch_top = 8
-
-let dispatch_pairs wname =
-  let w = Sxe_workloads.Registry.find ~scale:(vm_scale ()) wname in
-  let prog = Sxe_lang.Frontend.compile w.Sxe_workloads.Registry.source in
-  ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) prog);
-  let prof = Sxe_vm.Profile.create () in
-  Sxe_vm.Precode.enable_dispatch prof;
-  ignore
-    (Sxe_vm.Interp.run ~engine:`Precode ~fuse:Sxe_vm.Fuse.Off ~profile:prof prog);
-  let all = Sxe_vm.Precode.dispatch_counts prof in
-  List.filteri (fun i _ -> i < dispatch_top) all
-
 (* Static + dynamic zero-extension elimination on the unsigned workload
    class (registry extras, so outside the Table 1/2 matrices): baseline
    vs full algorithm, counting what Step 3 does to the zext half of the
@@ -566,21 +550,6 @@ let json_artifact () =
      fused: superinstruction fusion over the unfused pre-decoded engine *)
   ratio_row oc "speedup" (fun (s, _, _) -> s) (fun (_, u, _) -> u);
   ratio_row oc "fused" (fun (_, u, _) -> u) (fun (_, _, f) -> f);
-  Printf.fprintf oc "  },\n  \"dispatch\": {\n";
-  List.iteri
-    (fun i wname ->
-      let pairs = dispatch_pairs wname in
-      Printf.fprintf oc "    \"%s\": [" (Sxe_util.Json.escape wname);
-      List.iteri
-        (fun j ((a, b), c) ->
-          Printf.fprintf oc "%s\n      { \"first\": \"%s\", \"second\": \"%s\", \"count\": %d }"
-            (if j = 0 then "" else ",")
-            (Sxe_util.Json.escape a) (Sxe_util.Json.escape b) c)
-        pairs;
-      Printf.fprintf oc "%s]%s\n"
-        (if pairs = [] then "" else "\n    ")
-        (if i = List.length vm_workloads - 1 then "" else ","))
-    vm_workloads;
   (* zext: the zero-extension half of the lattice on the unsigned
      kernels — static remaining after compilation and dynamic count at
      run time, baseline vs full algorithm *)
