@@ -136,6 +136,12 @@ let rec analyze_def ctx (site : Reaching.def_site) : bool =
           match i.op with
           | Instr.Binop { op = And; l; r; w = W32; _ } ->
               full_nonneg ctx i l || full_nonneg ctx i r
+          | Instr.Binop { op = Div; l; r; w = W32; _ } ->
+              (* the quotient of extended operands is a genuine int32
+                 unless it is [min_int / -1] *)
+              let llo, _ = range_before ctx i l in
+              let rlo, rhi = range_before ctx i r in
+              llo > Range.i32_min || rlo > -1L || rhi < -1L
           | Instr.Binop { op = (Add | Sub) as bop; l; r; w = W32; _ } ->
               (* no-overflow sum/difference of extended operands: the
                  64-bit machine result then equals the mathematical one,

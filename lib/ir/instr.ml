@@ -276,9 +276,10 @@ let def_always_extended = function
   | ArrLen _ -> true (* in [0, 2^31-1] *)
   | ArrLoad { elem = AI8 | AI16 | AI32; lext = LSign; _ } -> true
   | GLoad { ty = I32; lext = LSign; _ } -> true
-  | Binop { op = Div | Rem; w = W32; _ } -> true
-      (* inputs are (and stay) extended, so the quotient/remainder is a
-         genuine int32 *)
+  | Binop { op = Rem; w = W32; _ } -> true
+      (* inputs are (and stay) extended, so the remainder is a genuine
+         int32; the quotient is too, except [min_int / -1], which the
+         64-bit divide leaves as [2^31] *)
   | Binop { op = AShr; w = W32; _ } -> true (* shift of an extended value *)
   | _ -> false
 

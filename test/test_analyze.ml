@@ -57,6 +57,27 @@ void main() {
      a genuine int32: the extension after the division goes *)
   Alcotest.(check int) "only the operand extension remains" 1 stats.Sxe_core.Stats.remaining
 
+let test_def_div_overflow_kept () =
+  (* [min_int / -1] leaves 2^31 in the 64-bit register, so the
+     extension after a division by a possible -1 stays: every variant
+     prints the Java quotient, min_int *)
+  let src =
+    {|
+int main() {
+  int[] a = new int[2];
+  a[0] = -2147483647 - 1;
+  a[1] = -1;
+  int q = a[0] / a[1];
+  long l = q;
+  print_long(l);
+  double d = q;
+  print_double(d);
+  return 0;
+}
+|}
+  in
+  ignore (Helpers.check_all_variants ~name:"min_int / -1" src)
+
 let test_use_not_required_by_store () =
   (* a 32-bit store never needs extended sources *)
   let src =
@@ -411,6 +432,8 @@ let suite =
   [
     Alcotest.test_case "AnalyzeDEF: AND with positive operand" `Quick test_def_and_mask;
     Alcotest.test_case "AnalyzeDEF: division result extended" `Quick test_def_div_result_extended;
+    Alcotest.test_case "AnalyzeDEF: min_int / -1 keeps its extension" `Quick
+      test_def_div_overflow_kept;
     Alcotest.test_case "AnalyzeUSE: stores don't require" `Quick test_use_not_required_by_store;
     Alcotest.test_case "Theorem 2: up-counting loop" `Quick test_theorem2_upcount;
     Alcotest.test_case "Theorem 4: down-counting loop" `Quick test_theorem4_downcount;

@@ -77,7 +77,11 @@ let test_classification () =
   let ashr = Instr.Binop { dst = 2; op = AShr; l = 0; r = 1; w = W32 } in
   Alcotest.(check (list int)) "ashr requires value only" [ 0 ]
     (Instr.required_ext_uses ~reg_ty ashr);
-  Alcotest.(check bool) "div result extended" true (Instr.def_always_extended div);
+  (* the 64-bit divide leaves min_int / -1 as 2^31 ("min/-1 wraps") *)
+  Alcotest.(check bool) "div result not always extended" false
+    (Instr.def_always_extended div);
+  Alcotest.(check bool) "rem result extended" true
+    (Instr.def_always_extended (Instr.Binop { dst = 2; op = Rem; l = 0; r = 1; w = W32 }));
   Alcotest.(check bool) "add result not extended" false (Instr.def_always_extended add);
   Alcotest.(check bool)
     "sext extended" true
@@ -227,11 +231,126 @@ let prop_eval_divrem_model =
         && Int64.equal r (Eval.zext32 (Int64.of_int32 (Int32.rem a32 b32)))
       end)
 
+(* -- The static def predicates against the faithful machine ---------- *)
+
+let boundaries =
+  [ 0L; 1L; -1L; -2147483648L; 2147483647L; 0x7FL; 0x80L; -0x80L; 0xFFL; 0x7FFFL;
+    0x8000L; -0x8000L; 0xFFFFL ]
+
+let float_boundaries =
+  [| 0.0; -0.5; 255.9; 2147483647.5; -2147483648.5; 4294967295.0; 1e19; -1e19;
+     infinity; neg_infinity; nan |]
+
+(* Every opcode with an I32 destination, over registers [x] and [y]
+   holding the sign-extended int32 values [vx] and [vy] (the gen-def
+   invariant) and over the double [fv]. The operands are set up first;
+   the in-place extensions work on copies of [x], and the divisions,
+   which may trap, come last. *)
+let def_ops b ~vx ~x ~y ~fv : Instr.op list =
+  let module B = Builder in
+  let d () = B.fresh b I32 in
+  let zero () = B.iconst b 0 in
+  let copy () = B.mov b x in
+  let load elem lext =
+    let arr = B.newarr b elem (B.iconst b 1) in
+    B.arrstore b elem arr (zero ()) x;
+    Instr.ArrLoad { dst = d (); arr; idx = zero (); elem; lext }
+  in
+  let gload lext =
+    B.gstore b I32 "g" x;
+    Instr.GLoad { dst = d (); sym = "g"; ty = I32; lext }
+  in
+  let binop op = Instr.Binop { dst = d (); op; l = x; r = y; w = W32 } in
+  [
+    Instr.Const { dst = d (); ty = I32; v = vx };
+    Instr.Mov { dst = d (); src = x; ty = I32 };
+    Instr.Unop { dst = d (); op = Neg; src = x; w = W32 };
+    Instr.Unop { dst = d (); op = Not; src = x; w = W32 };
+    Instr.Cmp { dst = d (); cond = Lt; l = x; r = y; w = W32 };
+    Instr.FCmp { dst = d (); cond = Lt; l = B.i2d b x; r = B.fconst b fv };
+    Instr.D2I { dst = d (); src = B.fconst b fv };
+    Instr.D2I { dst = d (); src = B.i2d b x };
+    (* a length in [0, 255]: the boundaries would allocate gigabytes *)
+    Instr.ArrLen { dst = d (); arr = B.newarr b AI8 (B.iconst b (Int64.to_int vx land 0xFF)) };
+    Instr.JustExt { r = copy () };
+  ]
+  @ List.concat_map
+      (fun from -> [ Instr.Sext { r = copy (); from }; Instr.Zext { r = copy (); from } ])
+      [ W8; W16; W32 ]
+  @ List.concat_map
+      (fun lext -> gload lext :: List.map (fun e -> load e lext) [ AI8; AI16; AI32 ])
+      [ LSign; LZero ]
+  @ List.map binop [ Add; Sub; Mul; And; Or; Xor; Shl; AShr; LShr; Rem; Div ]
+
+(* Run every [def_ops] instruction once on the faithful machine. Where
+   [def_always_extended] holds, the value written must be sext32-fixed;
+   where [def_upper_zero] holds, its upper 32 bits must be zero. The
+   first violation, if any. *)
+let def_predicate_violation (vx, vy, fv) : string option =
+  let module B = Builder in
+  let b, _ = B.create ~name:"main" ~params:[] () in
+  let x = B.const b ~ty:I32 vx in
+  let y = B.const b ~ty:I32 vy in
+  let tested = List.map (B.emit b) (def_ops b ~vx ~x ~y ~fv) in
+  B.ret b;
+  let seen = Hashtbl.create 64 in
+  let watch _ iid v = Hashtbl.replace seen iid v in
+  ignore
+    (Sxe_vm.Interp.run ~mode:`Faithful ~watch
+       (Helpers.prog_of_func ~globals:[ ("g", I32) ] (B.func b)));
+  List.find_map
+    (fun (i : Instr.t) ->
+      let broken pred holds =
+        Format.asprintf "%a at x=%Ld y=%Ld f=%h: %s, but the machine wrote %Ld"
+          Printer.pp_op i.Instr.op vx vy fv pred holds
+      in
+      match Hashtbl.find_opt seen i.Instr.iid with
+      | None -> None (* a division by zero trapped before it *)
+      | Some v when Instr.def_always_extended i.Instr.op && Eval.sext32 v <> v ->
+          Some (broken "def_always_extended" v)
+      | Some v when Instr.def_upper_zero i.Instr.op && not (Eval.is_upper_zero_32 v) ->
+          Some (broken "def_upper_zero" v)
+      | Some _ -> None)
+    tested
+
+let test_def_predicates_boundaries () =
+  List.iteri
+    (fun k vx ->
+      List.iteri
+        (fun j vy ->
+          let fv = float_boundaries.((k + j) mod Array.length float_boundaries) in
+          Option.iter Alcotest.fail (def_predicate_violation (vx, vy, fv)))
+        boundaries)
+    boundaries
+
+let prop_def_predicates =
+  let open QCheck in
+  let value =
+    Gen.(
+      frequency
+        [
+          (3, oneofl boundaries);
+          (1, map Int64.of_int (int_range (-2147483648) 2147483647));
+        ])
+  in
+  let double = Gen.(frequency [ (1, oneofa float_boundaries); (1, float) ]) in
+  Test.make ~name:"static def predicates hold on the faithful machine" ~count:300
+    (make
+       ~print:(fun (x, y, f) -> Printf.sprintf "x=%Ld y=%Ld f=%h" x y f)
+       (Gen.triple value value double))
+    (fun c ->
+      match def_predicate_violation c with
+      | None -> true
+      | Some msg -> Test.fail_report msg)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_eval_w32_model;
     QCheck_alcotest.to_alcotest prop_ext_roundtrips;
     QCheck_alcotest.to_alcotest prop_eval_divrem_model;
+    Alcotest.test_case "def predicates on the boundary grid" `Quick
+      test_def_predicates_boundaries;
+    QCheck_alcotest.to_alcotest prop_def_predicates;
     Alcotest.test_case "eval extensions" `Quick test_eval_extensions;
     Alcotest.test_case "eval binops" `Quick test_eval_binops;
     Alcotest.test_case "eval compare" `Quick test_eval_cmp;
