@@ -14,10 +14,10 @@
       (deleting it recertifies). These are optimizer misses.
     - {b necessary}: the range/extension-state lattice exhibits a
       concrete reason the extension does work — a truncated 64-bit
-      value, a zero-extended load that can deliver a negative value, a
-      range proving the operand lies outside the width window.
-    - {b unknown}: range-hostile. Neither proof succeeds; these are the
-      speculation candidates of ROADMAP item 3.
+      value, a load of the other kind that can deliver a negative value,
+      a range proving the operand lies outside the width window.
+    - {b unknown}: range-hostile. Neither proof succeeds; these are
+      speculation candidates.
 
     The auditor is self-verifying: every provably-redundant finding is
     checked by deleting the extension from a clone and pushing the
@@ -32,9 +32,8 @@
     the patched function proves (every upper-bit observer is in the
     certifier's demand set, sign- and zero-demanding alike). A
     [W8]/[W16] extension {e does} rewrite the low bits unless the
-    operand already lies inside the width window — the signed window
-    for [Sext], the unsigned one for [Zext] — so those deletions
-    additionally require the range proof. *)
+    operand lies inside {!Types.window}, so those deletions additionally
+    require the range proof. *)
 
 open Sxe_ir
 module Certify = Sxe_check.Certify
