@@ -163,7 +163,7 @@ type rules = {
       (** [Zext] only: a sign-extended non-negative operand already has
           zero upper bits (the sext→zext conversion fact) *)
   name : string;  (** as in "sign-extended" *)
-  ones : string;  (** what a negative value costs the other kind's proof *)
+  ones : string;  (** why a negative operand defeats this kind *)
   cleans : string;
   truncating : string;
   window : string;  (** names [Types.window kind] *)
