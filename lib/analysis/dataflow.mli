@@ -1,16 +1,26 @@
-(** Generic iterative bit-vector dataflow solver.
+(** Generic iterative bit-vector dataflow solver: the one fixpoint
+    driver of the monotone bit-vector problems.
 
-    Solves forward or backward problems over {!Sxe_util.Bitset} facts with
-    a worklist seeded in reverse postorder (forward) or postorder
-    (backward). Used by reaching definitions, liveness, the demand
-    analysis of the paper's first algorithm, and the four systems of lazy
-    code motion. *)
+    Solves forward or backward problems over {!Sxe_util.Bitset} facts by
+    sweeping the reachable blocks in reverse postorder (forward) or
+    postorder (backward) and visiting the ones marked dirty; a block
+    marked later in the order during a sweep is visited in that same
+    sweep. Used by reaching definitions, liveness, the demand analysis
+    of the paper's first algorithm, the certifier, and the four systems
+    of lazy code motion (anticipability, availability and laterness
+    through {!solve}, earliestness from their results).
+
+    Two fixpoint loops stay outside it. [Range.compute] widens by the
+    number of times a block has been visited, so its result, unlike a
+    bit-vector result, depends on the visit order. [Validate]'s
+    definite-assignment check lives in [sxe_ir], which this library
+    depends on. *)
 
 exception No_convergence of { analysis : string; func : string }
 (** An iterative analysis hit its iteration bound on function [func]
-    without reaching a fixpoint. Every fixpoint loop of the optimizer
-    ({!solve}, [Range.compute], lazy code motion) raises this one
-    exception, so a caller can tell an analysis failure from a crash. *)
+    without reaching a fixpoint. Both fixpoint loops of the optimizer
+    ({!solve} and [Range.compute]) raise this one exception, so a
+    caller can tell an analysis failure from a crash. *)
 
 type direction = Forward | Backward
 type meet = Union | Inter
