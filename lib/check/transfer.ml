@@ -42,7 +42,9 @@ type rfacts = {
           operand intervals fits int32, so the 64-bit machine result of
           extended operands cannot wrap — extendedness survives
           (mirrors the eliminator's range-assisted [AnalyzeDEF] rule for
-          no-overflow arithmetic) *)
+          no-overflow arithmetic). [Div]: the dividend's interval
+          excludes [min_int] or the divisor's excludes [-1], so the
+          quotient of extended operands is not [2{^31}] *)
 }
 
 let no_facts =
@@ -125,6 +127,9 @@ let make ?(maxlen = Types.max_array_length) ?call_ranges (f : Cfg.func) : env =
               t3_r = bop = Add && in_t2 (neg addend_l);
               nof = mlo >= Range.i32_min && mhi <= Range.i32_max;
             }
+        | Instr.Binop { op = Div; l; r; w = W32; _ } ->
+            let (llo, _) = before l and (rlo, rhi) = before r in
+            { base with nof = llo > Range.i32_min || rlo > -1L || rhi < -1L }
         | _ -> base
       in
       if fs <> no_facts then Hashtbl.replace facts iid fs)
@@ -282,7 +287,11 @@ let step env (copies : copies) (st : Bitset.t) (i : Instr.t) =
                   (sl.Extstate.zup && fs.t3_l) || (sr.Extstate.zup && fs.t3_r)
                 in
                 v32 (both_ext && fs.nof) false (t2_t4 || t3)
-            | Instr.Binop { op = Div | Rem; w = W32; _ } ->
+            | Instr.Binop { op = Div; w = W32; _ } ->
+                (* extended inputs give a genuine int32 quotient, except
+                   [min_int / -1 = 2{^31}] *)
+                v32 fs.nof false false
+            | Instr.Binop { op = Rem; w = W32; _ } ->
                 v32 true false false (* extended inputs: genuine int32 result *)
             | Instr.Binop { op = AShr; w = W32; _ } -> v32 true false false
             | Instr.Binop { op = LShr; l; w = W32; _ } ->
