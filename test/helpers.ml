@@ -51,3 +51,25 @@ let dyn_of results vname =
   match List.find_opt (fun (n, _, _) -> n = vname) results with
   | Some (_, d, _) -> d
   | None -> Alcotest.failf "no variant %S" vname
+
+(** Generated program families for compile-cost tests. [loop_chain n]:
+    a [main] of [n] sequential [for] loops over one 64-byte array, each
+    doing [s = s + b[k]; b[k] = s + i] (4n+2 blocks). [diamond_chain n]:
+    a [main] of [n] if/else diamonds in a row, each reading and writing
+    one accumulator. *)
+let loop_chain n =
+  let loops =
+    List.init n (fun i ->
+        Printf.sprintf
+          "  for (int k = 0; k < 64; k = k + 1) { s = s + b[k]; b[k] = s + %d; }\n" i)
+  in
+  "void main() {\n  byte[] b = new byte[64];\n  int s = 0;\n" ^ String.concat "" loops
+  ^ "  checksum(s);\n}\n"
+
+let diamond_chain n =
+  let diamonds =
+    List.init n (fun i ->
+        Printf.sprintf "  if (s > %d) { s = s - %d; } else { s = s + b[%d]; }\n" i i (i land 63))
+  in
+  "void main() {\n  byte[] b = new byte[64];\n  int s = 0;\n" ^ String.concat "" diamonds
+  ^ "  checksum(s);\n}\n"

@@ -231,6 +231,112 @@ let test_no_convergence () =
   Alcotest.(check string) "anything else is internal" "internal"
     (Sxe_serve.Compile_one.error_category (Failure "boom"))
 
+(* ------------------------------------------------------------------ *)
+(* Visit counts: the solver's cost per block stays flat as functions   *)
+(* grow. Counts, never time: each case counts the calls to the         *)
+(* transfer function it passes in.                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [main] of [src] after the [all] pipeline. *)
+let compiled_main src =
+  let p = Sxe_lang.Frontend.compile src in
+  ignore (Sxe_core.Pass.compile (Sxe_core.Config.new_all ()) p);
+  Prog.find_func p "main"
+
+let reachable_blocks f =
+  Array.fold_left (fun n r -> if r then n + 1 else n) 0 (Cfg.reachable f)
+
+(* Reaching-definitions-shaped gen/kill sets: one bit per defining
+   instruction; a block generates its last definition of each register
+   and kills every other definition of the registers it defines. *)
+let gen_kill (f : Cfg.func) =
+  let nb = Cfg.num_blocks f in
+  let defs = ref [] and universe = ref 0 in
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (fun (i : Instr.t) ->
+          Option.iter
+            (fun r ->
+              defs := (!universe, r, b.Cfg.bid) :: !defs;
+              incr universe)
+            (Instr.def i.Instr.op))
+        (Cfg.body b))
+    f;
+  let universe = !universe in
+  let sets () = Array.init nb (fun _ -> Sxe_util.Bitset.create universe) in
+  let gen = sets () and kill = sets () in
+  let last = Hashtbl.create 64 in
+  (* [!defs] is in reverse program order: the first seen is the last *)
+  List.iter
+    (fun (d, r, bid) ->
+      if not (Hashtbl.mem last (bid, r)) then begin
+        Hashtbl.replace last (bid, r) ();
+        Sxe_util.Bitset.add gen.(bid) d
+      end)
+    !defs;
+  List.iter
+    (fun (d, r, _) ->
+      Hashtbl.iter (fun (bid, r') () -> if r' = r then Sxe_util.Bitset.add kill.(bid) d) last)
+    !defs;
+  Array.iteri (fun b k -> ignore (Sxe_util.Bitset.diff_into ~dst:k gen.(b))) kill;
+  (universe, gen, kill)
+
+let counted transfer =
+  let calls = ref 0 in
+  ((fun bid input -> incr calls; transfer bid input), calls)
+
+let gen_kill_visits f ~dir ~meet =
+  let universe, gen, kill = gen_kill f in
+  let transfer, calls =
+    counted (fun bid input ->
+        let x = Sxe_util.Bitset.copy input in
+        ignore (Sxe_util.Bitset.diff_into ~dst:x kill.(bid));
+        ignore (Sxe_util.Bitset.union_into ~dst:x gen.(bid));
+        x)
+  in
+  ignore
+    (Dataflow.solve ~f ~dir ~meet ~universe ~transfer
+       ~boundary:(Sxe_util.Bitset.create universe));
+  !calls
+
+(* The certifier's instance, set up as [Certify.solve] sets it up. *)
+let certify_visits f =
+  let module T = Sxe_check.Transfer in
+  let module E = Sxe_check.Extstate in
+  let env = T.make f in
+  let universe = E.universe ~nregs:(T.nregs env) in
+  let boundary = Sxe_util.Bitset.create universe in
+  Sxe_util.Bitset.fill boundary;
+  List.iter (fun (r, ty) -> if ty = I32 then E.set boundary r E.extended) f.Cfg.params;
+  let copies = T.copies_create () in
+  let transfer, calls = counted (T.block_transfer env copies) in
+  ignore (Dataflow.solve ~f ~dir:Dataflow.Forward ~meet:Dataflow.Inter ~universe ~transfer ~boundary);
+  !calls
+
+let test_visit_counts () =
+  List.iter
+    (fun (family, gen) ->
+      List.iter
+        (fun n ->
+          let f = compiled_main (gen n) in
+          let blocks = reachable_blocks f in
+          let check what calls =
+            if calls > 3 * blocks then
+              Alcotest.failf "%s at n = %d, %s: %d transfer calls for %d blocks (%.1f per block)"
+                family n what calls blocks
+                (float_of_int calls /. float_of_int blocks)
+          in
+          List.iter
+            (fun (what, dir, meet) -> check what (gen_kill_visits f ~dir ~meet))
+            [ ("forward union", Dataflow.Forward, Dataflow.Union);
+              ("forward intersection", Dataflow.Forward, Dataflow.Inter);
+              ("backward union", Dataflow.Backward, Dataflow.Union);
+              ("backward intersection", Dataflow.Backward, Dataflow.Inter) ];
+          check "certifier" (certify_visits f))
+        [ 40; 80; 160 ])
+    [ ("loop chain", Helpers.loop_chain); ("diamond chain", Helpers.diamond_chain) ]
+
 let suite =
   [
     Alcotest.test_case "liveness basics" `Quick test_liveness;
@@ -241,4 +347,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chains_consistent;
     Alcotest.test_case "non-monotone transfer: typed non-convergence" `Quick
       test_no_convergence;
+    Alcotest.test_case "at most 3 transfer calls per block" `Quick test_visit_counts;
   ]
