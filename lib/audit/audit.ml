@@ -659,5 +659,3 @@ let lint_rules : Lint.rule list =
         | Unknown { reason } -> Some (Printf.sprintf "r%d: %s" s.reg reason)
         | _ -> None);
   ]
-
-let register_lint_rules () = List.iter Lint.register lint_rules

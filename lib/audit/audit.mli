@@ -107,8 +107,3 @@ val lint_rules : Sxe_check.Lint.rule list
 (** The classifier as lint rules ([audit-redundant-ext] at warning,
     [audit-speculation-candidate] at info) — static only: no deletion
     oracle runs, no interprocedural summaries. *)
-
-val register_lint_rules : unit -> unit
-(** Register {!lint_rules} with the global lint registry (explicitly
-    called by drivers, so plain certification does not pay for audit
-    classification unasked). *)

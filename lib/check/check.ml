@@ -17,7 +17,6 @@ let paranoid () =
 
 let certify = Certify.certify
 let certify_prog = Certify.certify_prog
-let lint = Lint.run_func
 let lint_prog = Lint.run_prog
 
 (** Certify [f] and raise {!Certification_failed} naming [stage] on any

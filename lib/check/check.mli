@@ -15,13 +15,6 @@ val certify :
 
 val certify_prog : ?maxlen:int64 -> Sxe_ir.Prog.t -> Certify.error list
 
-val lint :
-  ?maxlen:int64 ->
-  ?call_ranges:(string -> Sxe_analysis.Range.interval option) ->
-  ?rules:Lint.rule list ->
-  Sxe_ir.Cfg.func ->
-  Lint.finding list
-
 val lint_prog :
   ?maxlen:int64 -> ?rules:Lint.rule list -> Sxe_ir.Prog.t -> Lint.finding list
 

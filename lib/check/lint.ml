@@ -2,9 +2,9 @@
 
     A rule inspects a solved certification instance (fixpoint states
     are available through {!Certify.scan}, pure structure through the
-    function itself) and reports findings. Rules are registered in a
-    global registry — {!register} a {!rule} and every driver
-    ([sxopt lint], tests, CI) picks it up. Findings are hygiene
+    function itself) and reports findings. A rule set is a plain list:
+    the drivers run {!builtins} unless given another ([sxopt lint]
+    appends the auditor's rules). Findings are hygiene
     diagnostics, not soundness verdicts: soundness is {!Certify}'s job.
 
     Severities: [Error] should fail a build (none of the built-in rules
@@ -236,39 +236,17 @@ let const_cmp : rule =
     doc = "materialized compare of two block-local constants";
     severity = Info; check }
 
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The built-ins are an immutable base list: the registry starts from
-   this value instead of being built up by module-initialization-time
-   [register] calls, so no reader can ever observe a half-initialized
-   (or torn) rule list. *)
 let builtins =
   [ redundant_sext; dead_justext; unreachable_block; critical_edge;
     mov_chain; const_cmp ]
-
-(* All registry access goes through [registry_mutex]: concurrent certify
-   workers read the rule list while a test (or embedding) may register
-   custom rules. OCaml mutation of a [ref] is not atomic with respect to
-   a concurrent read-modify-write, so [register] must be exclusive. *)
-let registry_mutex = Mutex.create ()
-let registry : rule list ref = ref builtins
-
-let register (r : rule) =
-  Mutex.protect registry_mutex (fun () ->
-      registry := List.filter (fun r' -> r'.name <> r.name) !registry @ [ r ])
-
-let rules () = Mutex.protect registry_mutex (fun () -> !registry)
-let find_rule name = List.find_opt (fun r -> r.name = name) (rules ())
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Run [rules] (default: the whole registry) over one function,
-    solving the certification instance once and sharing it. *)
-let run_func ?maxlen ?call_ranges ?(rules = rules ()) (f : Cfg.func) : finding list =
+(** Run [rules] (default: {!builtins}) over one function, solving the
+    certification instance once and sharing it. *)
+let run_func ?maxlen ?call_ranges ?(rules = builtins) (f : Cfg.func) : finding list =
   let sol = Certify.solve ?maxlen ?call_ranges f in
   List.concat_map (fun r -> r.check sol f) rules
 

@@ -1,5 +1,5 @@
-(** Pluggable IR lint framework: a global registry of rules run over a
-    solved certification instance. See the implementation header for
+(** Pluggable IR lint framework: lists of rules run over a solved
+    certification instance. See the implementation header for
     the severity policy; the built-in rules are [redundant-sext],
     [dead-justext], [unreachable-block], [critical-edge], [mov-chain]
     and [const-cmp]. *)
@@ -34,19 +34,7 @@ val instr_index : Sxe_ir.Cfg.func -> bid:int -> iid:int option -> int option
     [None] iid or an id not present in the block. *)
 
 val builtins : rule list
-(** The built-in rules, as an immutable base list; the registry starts
-    from it. *)
-
-val register : rule -> unit
-(** Add (or replace, by name) a rule in the registry. Idempotent for a
-    given name, and safe to call concurrently with {!rules}: the registry
-    is mutex-guarded so readers in other domains never observe a torn
-    list. *)
-
-val rules : unit -> rule list
-(** A consistent snapshot of the registry (mutex-guarded). *)
-
-val find_rule : string -> rule option
+(** The built-in rules, the drivers' default. *)
 
 val run_func :
   ?maxlen:int64 ->
@@ -55,7 +43,7 @@ val run_func :
   Sxe_ir.Cfg.func ->
   finding list
 (** Solve the certification instance once and run [rules] (default:
-    the full registry) over it. *)
+    {!builtins}) over it. *)
 
 val run_prog :
   ?maxlen:int64 -> ?rules:rule list -> Sxe_ir.Prog.t -> finding list

@@ -332,13 +332,12 @@ let test_interprocedural_summary () =
   let sites, _ = Audit.audit_prog p in
   check_redundant ~what:"with summaries" (site_for sites site) Audit.Range_window
 
-(* -- lint registration ------------------------------------------------ *)
+(* -- lint rules --------------------------------------------------------- *)
 
 let test_lint_rules () =
-  Audit.register_lint_rules ();
-  (match Sxe_check.Lint.find_rule Audit.rule_redundant with
-  | Some _ -> ()
-  | None -> Alcotest.fail "audit-redundant-ext not registered");
+  Alcotest.(check (list string)) "rule names"
+    [ Audit.rule_redundant; Audit.rule_speculation ]
+    (List.map (fun (r : Sxe_check.Lint.rule) -> r.Sxe_check.Lint.name) Audit.lint_rules);
   let b, _ = B.create ~name:"main" ~params:[] () in
   let v = B.iconst b 5 in
   let site = B.sext b v in
