@@ -93,9 +93,6 @@ let ud_at_instr t (i : Instr.t) r =
 let ud_at_term t bid r =
   match Hashtbl.find_opt t.ud (-1 - bid, r) with Some l -> !l | None -> []
 
-let ud_at_use t use r =
-  match use with UIns i -> ud_at_instr t i r | UTerm bid -> ud_at_term t bid r
-
 (** Uses reached by a definition site. *)
 let du_of_site t site =
   match Hashtbl.find_opt t.du (Reaching.def_key site) with Some l -> !l | None -> []
@@ -109,12 +106,6 @@ let contains t (i : Instr.t) = Hashtbl.mem t.block_of i.Instr.iid
 (* ------------------------------------------------------------------ *)
 (* Incremental deletion                                                *)
 (* ------------------------------------------------------------------ *)
-
-(** [register_same_reg_insert t ~bid i ~reaching] records a freshly inserted
-    same-register instruction [i] (an extension) placed in block [bid] whose
-    use is reached by [reaching] and whose def reaches [reached_uses]. Used
-    only by tests; the passes insert before chains are built. *)
-let note_block t (i : Instr.t) bid = Hashtbl.replace t.block_of i.Instr.iid bid
 
 (** [delete_same_reg_def t i] removes instruction [i] — which must define
     and use the same register, i.e. a [Sext]/[Zext]/[JustExt] — from both

@@ -28,7 +28,6 @@ val ud_at_instr : t -> Sxe_ir.Instr.t -> Sxe_ir.Instr.reg -> Reaching.def_site l
     it; empty if the instruction does not use the register. *)
 
 val ud_at_term : t -> int -> Sxe_ir.Instr.reg -> Reaching.def_site list
-val ud_at_use : t -> use_site -> Sxe_ir.Instr.reg -> Reaching.def_site list
 
 val du_of_site : t -> Reaching.def_site -> use_site list
 val du_of_instr : t -> Sxe_ir.Instr.t -> use_site list
@@ -39,10 +38,6 @@ val block_of_instr : t -> Sxe_ir.Instr.t -> int
 
 val contains : t -> Sxe_ir.Instr.t -> bool
 (** Is the instruction still present (not deleted through these chains)? *)
-
-val note_block : t -> Sxe_ir.Instr.t -> int -> unit
-(** Register a block id for an instruction inserted after [build] (test
-    helper; the passes insert before building chains). *)
 
 val delete_same_reg_def : t -> Sxe_ir.Instr.t -> unit
 (** Remove a [Sext]/[Zext]/[JustExt] (destination = source register) from

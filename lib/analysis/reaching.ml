@@ -16,9 +16,7 @@ let def_site_reg = function DParam r -> r | DIns i -> Option.get (Instr.def i.op
 let def_key = function DParam r -> -1 - r | DIns i -> i.Instr.iid
 
 type t = {
-  func : Cfg.func;
   defs : def_site array;  (** def id -> site *)
-  def_ids : (int, int) Hashtbl.t;  (** def_key -> def id *)
   defs_of_reg : Bitset.t array;  (** reg -> def ids defining it *)
   sol : Dataflow.result;  (** per-block in/out sets of def ids *)
 }
@@ -66,11 +64,10 @@ let compute (f : Cfg.func) =
       ~kill:(fun b -> kill.(b))
       ~boundary
   in
-  { func = f; defs; def_ids; defs_of_reg; sol }
+  { defs; defs_of_reg; sol }
 
 let universe t = Array.length t.defs
 let def_of_id t id = t.defs.(id)
-let id_of_site t site = Hashtbl.find t.def_ids (def_key site)
 
 (** Definitions reaching the entry of block [b]. *)
 let in_of_block t b = t.sol.Dataflow.inb.(b)

@@ -17,6 +17,5 @@ type t
 val compute : Sxe_ir.Cfg.func -> t
 val universe : t -> int
 val def_of_id : t -> int -> def_site
-val id_of_site : t -> def_site -> int
 val in_of_block : t -> int -> Sxe_util.Bitset.t
 (** Definitions reaching the entry of a block, as def-id bits. *)

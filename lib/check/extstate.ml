@@ -52,7 +52,6 @@ let garbage =
   { s8 = false; s16 = false; ext = false; z8 = false; z16 = false; zup = false; asafe = false }
 
 let extended = { garbage with ext = true; asafe = true }
-let zero_upper = { garbage with zup = true; asafe = true }
 
 (** Sign- and zero-extended at once: a non-negative int32 (e.g. the
     zero a fresh VM register holds). *)

@@ -18,7 +18,6 @@ type t = {
 
 val garbage : t
 val extended : t
-val zero_upper : t
 
 val nonneg : t
 (** Sign- and zero-extended at once: a non-negative int32. *)

@@ -33,10 +33,6 @@ let zext_from = function
   | W32 -> zext32
   | W64 -> fun v -> v
 
-(** Kind-polymorphic extension: the semantics of the [(kind × width)]
-    conversion family in one place. *)
-let ext_from = function Sign -> sext_from | Zero -> zext_from
-
 (** [is_sign_extended_32 v]: does the full register equal the sign
     extension of its low 32 bits? *)
 let is_sign_extended_32 v = Int64.equal v (sext32 v)

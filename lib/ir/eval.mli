@@ -20,9 +20,6 @@ val zext8 : int64 -> int64
 val sext_from : Types.width -> int64 -> int64
 val zext_from : Types.width -> int64 -> int64
 
-val ext_from : Types.ekind -> Types.width -> int64 -> int64
-(** Kind-polymorphic extension: the [(kind × width)] conversion family. *)
-
 val is_sign_extended_32 : int64 -> bool
 (** Does the full register equal the sign extension of its low half? *)
 

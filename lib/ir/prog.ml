@@ -22,7 +22,6 @@ let find_func t name =
 
 let find_func_opt t name = Hashtbl.find_opt t.funcs name
 let declare_global t name ty = Hashtbl.replace t.globals name ty
-let global_ty t name = Hashtbl.find_opt t.globals name
 
 let iter_funcs fn t =
   (* deterministic order for printing and experiments *)

@@ -12,7 +12,6 @@ val add_func : t -> Cfg.func -> unit
 val find_func : t -> string -> Cfg.func
 val find_func_opt : t -> string -> Cfg.func option
 val declare_global : t -> string -> Types.ty -> unit
-val global_ty : t -> string -> Types.ty option
 
 val iter_funcs : (Cfg.func -> unit) -> t -> unit
 (** Deterministic (name-sorted) iteration. *)
